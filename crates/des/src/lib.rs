@@ -50,7 +50,7 @@ pub use event::{run, run_until, Control, EventQueue, QueueTelemetry, RunOutcome}
 pub use exec::EpochExecutor;
 pub use heap::HeapQueue;
 pub use rng::{derive_seed, splitmix64, stream_rng, StreamId};
-pub use shard::{ShardConfigError, ShardStats, ShardedQueue};
+pub use shard::{ShardConfigError, ShardStats};
 pub use stats::{Counter, Histogram, Welford};
 pub use time::{SimDuration, SimTime, MICROS_PER_SEC};
 
@@ -102,6 +102,100 @@ mod proptests {
         assert_eq!(cal.len(), heap.len());
         assert_eq!(cal.now(), heap.now());
         assert_eq!(cal.peek_time(), heap.peek_time());
+    }
+
+    /// One executor pop: `(time, shard, event)`.
+    type Pop = (SimTime, usize, u64);
+
+    /// A shard-tagged heap-reference pop, in the executor's shape.
+    fn untag((t, (shard, e)): (SimTime, (usize, u64))) -> Pop {
+        (t, shard, e)
+    }
+
+    /// The ledger an executor must report: per-shard scheduled/popped counts
+    /// and the lookahead-wide windows its pop clock has crossed.
+    struct LedgerModel {
+        la: SimDuration,
+        stats: Vec<ShardStats>,
+        epochs: u64,
+        epoch_end: SimTime,
+    }
+
+    impl LedgerModel {
+        fn on_pop(&mut self, t: SimTime, shard: usize) {
+            self.stats[shard].popped += 1;
+            if !self.la.is_zero() && t >= self.epoch_end {
+                self.epochs += 1;
+                self.epoch_end = t + self.la;
+            }
+        }
+    }
+
+    /// Drives an [`EpochExecutor`] over `nshards` and a [`HeapQueue`] whose
+    /// payload carries the shard through one op sequence, then drains both.
+    /// After every op the pop, length, clock and head must match the
+    /// reference, and the epoch count and per-shard stats the local model.
+    /// Returns the full pop stream and the final epoch count.
+    fn drive_executor_against_heap(
+        ops: &[(u8, u64)],
+        nshards: usize,
+        la: SimDuration,
+    ) -> Result<(Vec<Pop>, u64), TestCaseError> {
+        let mut exec = EpochExecutor::new(nshards, la).unwrap();
+        let mut heap = HeapQueue::new();
+        let mut model = LedgerModel {
+            la,
+            stats: vec![ShardStats::default(); nshards],
+            epochs: 0,
+            epoch_end: SimTime::ZERO + la,
+        };
+        let mut stream = Vec::new();
+        let mut next_payload = 0u64;
+        // After the ops, drain both: no op sequence schedules more events
+        // than it has ops, so that many unbounded pops empty the queues.
+        let drain = std::iter::repeat_n((4, 0), ops.len());
+        for (code, v) in ops.iter().copied().chain(drain) {
+            // Route by a hash of the payload value: adversarial to the merge
+            // (same-instant bursts scatter across shards), while the
+            // reference sees no routing at all.
+            let shard = (v >> 32) as usize % nshards;
+            let popped = match code {
+                0..=3 => {
+                    let delay = SimDuration::from_micros(match code {
+                        0 | 1 => v % 50_000,
+                        2 => 0,
+                        _ => 10_000_000_000 + v % 1_000_000_000_000,
+                    });
+                    exec.schedule_after(shard, delay, next_payload);
+                    heap.schedule_after(delay, (shard, next_payload));
+                    model.stats[shard].scheduled += 1;
+                    next_payload += 1;
+                    None
+                }
+                4..=6 => {
+                    let popped = exec.pop();
+                    prop_assert_eq!(popped, heap.pop().map(untag));
+                    popped
+                }
+                _ => {
+                    let horizon = heap.now() + SimDuration::from_micros(v % 100_000);
+                    let popped = exec.pop_if_at_or_before(horizon);
+                    prop_assert_eq!(popped, heap.pop_if_at_or_before(horizon).map(untag));
+                    popped
+                }
+            };
+            if let Some(p @ (t, shard, _)) = popped {
+                model.on_pop(t, shard);
+                stream.push(p);
+            }
+            prop_assert_eq!(exec.len(), heap.len());
+            prop_assert_eq!(exec.now(), heap.now());
+            prop_assert_eq!(exec.peek_time(), heap.peek_time());
+            prop_assert_eq!(exec.epochs(), model.epochs);
+            prop_assert_eq!(exec.shard_stats(), &model.stats[..]);
+        }
+        prop_assert!(exec.is_empty());
+        Ok((stream, model.epochs))
     }
 
     proptest! {
@@ -224,167 +318,29 @@ mod proptests {
             prop_assert!((ma - mw).abs() <= 1e-6 * (1.0 + mw.abs()));
         }
 
-        /// The sharded merge oracle: a [`ShardedQueue`] with randomly routed
+        /// The executor oracle: an [`EpochExecutor`] with randomly routed
         /// schedules and an unsharded [`HeapQueue`] driven through identical
-        /// interleavings produce bit-identical `(time, event)` pop streams —
-        /// shard routing is an implementation layout, never an observable.
-        /// This is the boundary-event-merge half of the determinism contract:
-        /// cross-shard schedules land in different inner queues, yet the
-        /// merged stream must preserve exact global `(time, seq)` FIFO order.
-        #[test]
-        fn sharded_queue_matches_heap_reference(
-            ops in proptest::collection::vec((0u8..10, 0u64..u64::MAX / 2), 1..400),
-            nshards in 1usize..=8,
-        ) {
-            let mut sharded =
-                ShardedQueue::new(nshards, SimDuration::from_micros(1)).unwrap();
-            let mut heap = HeapQueue::new();
-            let mut next_payload = 0u64;
-            for &(code, v) in &ops {
-                // Route by a hash of the payload value: adversarial to the
-                // merge (same-instant bursts scatter across shards), while the
-                // reference sees no routing at all.
-                let shard = (v >> 32) as usize % nshards;
-                match code {
-                    0..=3 => {
-                        let delay = SimDuration::from_micros(match code {
-                            0 | 1 => v % 50_000,
-                            2 => 0,
-                            _ => 10_000_000_000 + v % 1_000_000_000_000,
-                        });
-                        sharded.schedule_after(shard, delay, next_payload);
-                        heap.schedule_after(delay, next_payload);
-                        next_payload += 1;
-                    }
-                    4..=6 => {
-                        prop_assert_eq!(
-                            sharded.pop().map(|(t, _, e)| (t, e)),
-                            heap.pop(),
-                            "pop streams diverged"
-                        );
-                    }
-                    7 | 8 => {
-                        let horizon = sharded.now() + SimDuration::from_micros(v % 100_000);
-                        prop_assert_eq!(
-                            sharded.pop_if_at_or_before(horizon).map(|(t, _, e)| (t, e)),
-                            heap.pop_if_at_or_before(horizon),
-                            "bounded pop streams diverged"
-                        );
-                    }
-                    _ => {
-                        sharded.reset();
-                        heap.reset();
-                        next_payload = 0;
-                    }
-                }
-                prop_assert_eq!(sharded.len(), heap.len());
-                prop_assert_eq!(sharded.now(), heap.now());
-                prop_assert_eq!(sharded.peek_time(), heap.peek_time());
-            }
-            // Drain both to the end: every residual event must match too.
-            loop {
-                let (a, b) = (sharded.pop().map(|(t, _, e)| (t, e)), heap.pop());
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-
-        /// The merged pop stream is invariant under the shard count itself:
-        /// any two shard counts over the same schedule/pop interleaving agree
-        /// event for event (each is bit-identical to the heap reference, but
-        /// pinning them against each other directly documents the contract
-        /// the scenario-level differential suite relies on).
-        #[test]
-        fn shard_count_never_changes_the_pop_stream(
-            ops in proptest::collection::vec((0u8..8, 0u64..u64::MAX / 2), 1..200),
-        ) {
-            let la = SimDuration::from_micros(1);
-            let mut a = ShardedQueue::new(2, la).unwrap();
-            let mut b = ShardedQueue::new(8, la).unwrap();
-            let mut next_payload = 0u64;
-            for &(code, v) in &ops {
-                match code {
-                    0..=4 => {
-                        let delay = SimDuration::from_micros(v % 200_000);
-                        a.schedule_after((v >> 32) as usize % 2, delay, next_payload);
-                        b.schedule_after((v >> 32) as usize % 8, delay, next_payload);
-                        next_payload += 1;
-                    }
-                    _ => {
-                        prop_assert_eq!(
-                            a.pop().map(|(t, _, e)| (t, e)),
-                            b.pop().map(|(t, _, e)| (t, e))
-                        );
-                    }
-                }
-            }
-            loop {
-                let (x, y) = (a.pop().map(|(t, _, e)| (t, e)), b.pop().map(|(t, _, e)| (t, e)));
-                prop_assert_eq!(x, y);
-                if x.is_none() {
-                    break;
-                }
-            }
-            prop_assert_eq!(a.epochs(), b.epochs(), "epoch count must be shard-invariant");
-        }
-
-        /// The epoch executor against the serial sharded reference: random
         /// schedule/pop/bounded-pop interleavings (no reset — the executor is
         /// single-run by design) produce identical `(time, shard, event)`
-        /// streams and identical ledgers at 1, 2, and `nshards` worker
-        /// threads. This is the thread-count half of the determinism
-        /// contract: barriers, adaptive epoch spans, and mailbox flushes are
-        /// pure functions of the event set.
+        /// streams, and the executor's ledger matches a local model. One
+        /// shard also runs at zero lookahead. The same ops at 2 and 8 shards
+        /// must agree event for event and epoch for epoch: shard routing is
+        /// an implementation layout, never an observable.
         #[test]
-        fn epoch_executor_matches_sharded_reference(
+        fn epoch_executor_matches_heap_reference(
             ops in proptest::collection::vec((0u8..9, 0u64..u64::MAX / 2), 1..300),
-            nshards in 1usize..=6,
-            threads in 1usize..=4,
+            nshards in 1usize..=8,
         ) {
             let la = SimDuration::from_micros(700);
-            let mut exec = EpochExecutor::new(nshards, threads, la).unwrap();
-            let mut refq = ShardedQueue::new(nshards, la).unwrap();
-            let mut next_payload = 0u64;
-            for &(code, v) in &ops {
-                let shard = (v >> 32) as usize % nshards;
-                match code {
-                    0..=3 => {
-                        let delay = SimDuration::from_micros(match code {
-                            0 | 1 => v % 50_000,
-                            2 => 0,
-                            _ => 10_000_000_000 + v % 1_000_000_000_000,
-                        });
-                        exec.schedule_after(shard, delay, next_payload);
-                        refq.schedule_after(shard, delay, next_payload);
-                        next_payload += 1;
-                    }
-                    4..=6 => {
-                        prop_assert_eq!(exec.pop(), refq.pop(), "pop streams diverged");
-                    }
-                    _ => {
-                        let horizon = refq.now() + SimDuration::from_micros(v % 100_000);
-                        prop_assert_eq!(
-                            exec.pop_if_at_or_before(horizon),
-                            refq.pop_if_at_or_before(horizon),
-                            "bounded pop streams diverged"
-                        );
-                    }
-                }
-                prop_assert_eq!(exec.len(), refq.len());
-                prop_assert_eq!(exec.now(), refq.now());
-                prop_assert_eq!(exec.peek_time(), refq.peek_time());
-                prop_assert_eq!(exec.epochs(), refq.epochs());
+            drive_executor_against_heap(&ops, nshards, la)?;
+            if nshards == 1 {
+                drive_executor_against_heap(&ops, 1, SimDuration::ZERO)?;
             }
-            loop {
-                let (a, b) = (exec.pop(), refq.pop());
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-            prop_assert_eq!(exec.shard_stats(), refq.shard_stats());
+            let (two, two_epochs) = drive_executor_against_heap(&ops, 2, la)?;
+            let (eight, eight_epochs) = drive_executor_against_heap(&ops, 8, la)?;
+            let untagged = |s: Vec<Pop>| s.into_iter().map(|(t, _, e)| (t, e)).collect::<Vec<_>>();
+            prop_assert_eq!(untagged(two), untagged(eight));
+            prop_assert_eq!(two_epochs, eight_epochs, "epoch count must be shard-invariant");
         }
 
         /// Stream derivation is injective in practice over small domains.

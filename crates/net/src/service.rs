@@ -33,10 +33,8 @@ pub fn deliveries<P, T>(emissions: Vec<Emission<P>>) -> Vec<Effect<P, T>> {
 
 /// A location-service protocol under test.
 ///
-/// Payload and timer types must be `Send + 'static`: scheduled events carry
-/// them across the epoch executor's worker-thread boundary (`run --shards N
-/// --threads M`), even though handlers themselves only ever run on the
-/// commit thread.
+/// Payload and timer types must be `Send + 'static`: the `hlsrg-bench`
+/// traced driver's helpers bound on it.
 pub trait LocationService {
     /// Wire payload type.
     type Payload: Clone + std::fmt::Debug + Send + 'static;

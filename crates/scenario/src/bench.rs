@@ -386,8 +386,8 @@ pub fn run_bench(opts: &BenchOptions, label: &str) -> Vec<BenchRecord> {
         ));
     }
 
-    // Thread scaling: the 4-shard scenario with the epoch executor's worker
-    // pool at 1/2/4 threads. The determinism contract holds across thread
+    // Thread scaling: the 4-shard scenario with the mobility step split
+    // across 1/2/4 threads. The determinism contract holds across thread
     // counts too, so — like the shard rows — only wall time can move.
     for (name, threads) in [
         ("hlsrg_shards4_threads1", 1usize),

@@ -80,13 +80,13 @@ pub struct SimConfig {
     pub timeline_period: Option<SimDuration>,
     /// Number of L3-region shards the event queue is split across. One shard
     /// is the classic sequential run; more shards exercise the conservative
-    /// parallel executor, which must produce byte-identical results (the
+    /// executor's sync audit, which must produce byte-identical results (the
     /// determinism contract tested in `tests/shard_determinism.rs`).
     pub shards: usize,
-    /// Worker threads driving the shard queues (clamped to `1..=shards`).
-    /// With one thread the epoch executor runs inline; more threads move
-    /// per-shard queue mechanics onto a pool while handlers stay on the
-    /// commit thread, so the thread count never changes any output byte.
+    /// Threads splitting each mobility step (`MobilityModel::step_par`),
+    /// clamped to `1..=shards` and to the host's cores. Every event still
+    /// runs on the calling thread, so the thread count never changes any
+    /// output byte.
     pub threads: usize,
 }
 
@@ -159,7 +159,7 @@ impl SimConfig {
             assert!(!iv.is_zero(), "telemetry interval must be positive");
         }
         assert!(self.shards >= 1, "need at least one event-queue shard");
-        assert!(self.threads >= 1, "need at least one executor thread");
+        assert!(self.threads >= 1, "need at least one thread");
     }
 }
 

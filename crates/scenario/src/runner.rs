@@ -14,7 +14,7 @@ use rand::seq::SliceRandom;
 use rand::RngExt;
 use rlsmp::RlsmpProtocol;
 use std::sync::Arc;
-use vanet_des::{stream_rng, EpochExecutor, ShardedQueue, SimDuration, SimTime, StreamId};
+use vanet_des::{stream_rng, EpochExecutor, SimDuration, SimTime, StreamId};
 use vanet_mobility::{
     LightConfig, MapMatcher, MobilityModel, Ns2Trace, TraceReplay, TrafficLights, VehicleId,
 };
@@ -105,105 +105,6 @@ enum Ev<P, T> {
     Sample,
     /// Take a telemetry sample.
     Telemetry,
-}
-
-/// The run's executor, picked by shard count: one shard keeps the classic
-/// serial [`ShardedQueue`] (the untouched default path); real sharded runs go
-/// through the [`EpochExecutor`], inline at one thread or on a worker pool at
-/// more. Both produce the identical `(time, global seq)` pop stream, so the
-/// choice — like the shard count and the thread count — is invisible in every
-/// output byte (pinned by `tests/shard_determinism.rs`).
-enum Q<E: Send + 'static> {
-    Serial(ShardedQueue<E>),
-    Epoch(Box<EpochExecutor<E>>),
-}
-
-impl<E: Send + 'static> Q<E> {
-    fn schedule_at(&mut self, shard: usize, at: SimTime, event: E) {
-        match self {
-            Q::Serial(q) => q.schedule_at(shard, at, event),
-            Q::Epoch(q) => q.schedule_at(shard, at, event),
-        }
-    }
-
-    fn schedule_after(&mut self, shard: usize, delay: SimDuration, event: E) {
-        match self {
-            Q::Serial(q) => q.schedule_after(shard, delay, event),
-            Q::Epoch(q) => q.schedule_after(shard, delay, event),
-        }
-    }
-
-    fn schedule_periodic(
-        &mut self,
-        shard: usize,
-        period: SimDuration,
-        end: SimTime,
-        inclusive: bool,
-        make: impl FnMut() -> E,
-    ) {
-        match self {
-            Q::Serial(q) => q.schedule_periodic(shard, period, end, inclusive, make),
-            Q::Epoch(q) => q.schedule_periodic(shard, period, end, inclusive, make),
-        }
-    }
-
-    fn set_origin(&mut self, origin: Option<usize>) {
-        match self {
-            Q::Serial(q) => q.set_origin(origin),
-            Q::Epoch(q) => q.set_origin(origin),
-        }
-    }
-
-    /// Only the check-mode end-of-run drain pops unbounded.
-    #[cfg(feature = "check")]
-    fn pop(&mut self) -> Option<(SimTime, usize, E)> {
-        match self {
-            Q::Serial(q) => q.pop(),
-            Q::Epoch(q) => q.pop(),
-        }
-    }
-
-    fn pop_if_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, usize, E)> {
-        match self {
-            Q::Serial(q) => q.pop_if_at_or_before(horizon),
-            Q::Epoch(q) => q.pop_if_at_or_before(horizon),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Q::Serial(q) => q.len(),
-            Q::Epoch(q) => q.len(),
-        }
-    }
-
-    fn epochs(&self) -> u64 {
-        match self {
-            Q::Serial(q) => q.epochs(),
-            Q::Epoch(q) => q.epochs(),
-        }
-    }
-
-    fn violations(&self) -> u64 {
-        match self {
-            Q::Serial(q) => q.violations(),
-            Q::Epoch(q) => q.violations(),
-        }
-    }
-
-    fn shard_stats(&self) -> &[vanet_des::ShardStats] {
-        match self {
-            Q::Serial(q) => q.shard_stats(),
-            Q::Epoch(q) => q.shard_stats(),
-        }
-    }
-
-    fn telemetry(&mut self) -> vanet_des::QueueTelemetry {
-        match self {
-            Q::Serial(q) => q.telemetry(),
-            Q::Epoch(q) => q.telemetry(),
-        }
-    }
 }
 
 /// The run's vehicle source: the native kinematic model or an ns-2 trace replay.
@@ -507,11 +408,9 @@ fn drive<L: LocationService>(
     // front, and in-flight radio traffic scales with the fleet (~32 pending
     // events per vehicle covers the observed peaks with headroom).
     let tick_count = (cfg.duration.as_micros() / cfg.mobility.tick.as_micros().max(1)) as usize;
-    // Never run more epoch workers than the host has cores: the threaded
-    // backend's barrier hand-off is pure overhead when workers time-share one
-    // core (measured 2686 ms vs 1554 ms on the single-core large tier).
-    // Determinism is unaffected — the pop stream is thread-count-invariant —
-    // so clamping here changes wall clock only.
+    // Threads only split the mobility step (`step_par`) across disjoint
+    // vehicle slices; never run more of them than the host has cores. Every
+    // sample is thread-count-invariant, so clamping changes wall clock only.
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(usize::MAX);
@@ -520,48 +419,16 @@ fn drive<L: LocationService>(
     // Control-plane events (ticks, queries, samplers) all live on shard 0, on
     // top of its delivery share — size it for both so smoke-scale sharded
     // runs stop re-growing their queues mid-run.
-    let control_cap = tick_count + cfg.vehicles / 8 + 64;
-    let mut queue: Q<Ev<L::Payload, L::Timer>> = if shards == 1 && !lookahead.is_zero() {
-        // One shard still routes through the *inline* epoch executor: its
-        // drain-batched pops cost O(log k) per event under same-instant
-        // bursts, where the serial queue's scan-per-pop path goes quadratic
-        // (the 85 s large-tier hlsrg_shards1 pathology). The pop stream and
-        // sync ledger are identical by construction, so every report,
-        // golden, trace, and telemetry byte is unchanged. The classic serial
-        // queue remains for zero-lookahead configs, which the epoch
-        // machinery (lookahead-paced by design) rejects.
-        Q::Epoch(Box::new(
-            EpochExecutor::with_shard_capacities_and_horizon(
-                1,
-                lookahead,
-                &[tick_count + deliveries_cap + 64],
-                cfg.duration,
-            )
-            .unwrap_or_else(|e| panic!("cannot shard this run: {e}")),
-        ))
-    } else if shards == 1 {
-        Q::Serial(
-            ShardedQueue::with_capacity_and_horizon(
-                1,
-                lookahead,
-                tick_count + deliveries_cap + 64,
-                cfg.duration,
-            )
-            .unwrap_or_else(|e| panic!("cannot shard this run: {e}")),
-        )
+    let caps = if shards == 1 {
+        vec![tick_count + deliveries_cap + 64]
     } else {
         let mut caps = vec![(deliveries_cap / shards).max(16); shards];
-        caps[0] += control_cap;
-        Q::Epoch(Box::new(
-            EpochExecutor::with_shard_capacities_and_horizon(
-                threads,
-                lookahead,
-                &caps,
-                cfg.duration,
-            )
-            .unwrap_or_else(|e| panic!("cannot shard this run: {e}")),
-        ))
+        caps[0] += tick_count + cfg.vehicles / 8 + 64;
+        caps
     };
+    let mut queue: EpochExecutor<Ev<L::Payload, L::Timer>> =
+        EpochExecutor::with_shard_capacities_and_horizon(1, lookahead, &caps, cfg.duration)
+            .unwrap_or_else(|e| panic!("cannot shard this run: {e}"));
     // Shard routing: a delivery belongs to the shard owning the recipient's
     // current L3 region. Control events (ticks, queries, sampling) live on
     // shard 0; protocol timers stay on the shard that armed them.
@@ -981,9 +848,9 @@ fn telemetry_tick<L: LocationService>(
 /// network hops, so they stay on the emitting shard. Routing them by recipient
 /// region would violate the lookahead contract whenever the emitter's shard
 /// went stale (a timer armed before its vehicle migrated), and the merge is
-/// routing-invariant anyway (see the `shard` module's proptests).
-fn apply<P: Send + 'static, T: Send + 'static>(
-    queue: &mut Q<Ev<P, T>>,
+/// routing-invariant anyway (see `vanet_des`'s executor proptests).
+fn apply<P, T>(
+    queue: &mut EpochExecutor<Ev<P, T>>,
     fx: Vec<Effect<P, T>>,
     registry: &NodeRegistry,
     shard_of: &impl Fn(&NodeRegistry, NodeId) -> usize,

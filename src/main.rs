@@ -111,9 +111,10 @@ commands:
                                      --map-size M  --seed S  --duration SECS  --csv
                                      --shards N (region-sharded event queues;
                                      results are byte-identical for any N)
-                                     --threads N (worker threads driving the
-                                     shards; default N = shards, also
-                                     byte-identical for any count)
+                                     --threads N (threads splitting each
+                                     mobility step, at most N = shards and
+                                     the host's cores; default N = shards,
+                                     also byte-identical for any count)
                                      --trace-out FILE (JSONL event trace)
                                      --telemetry-out FILE (JSONL time series)
                                      --telemetry-interval SECS (default 5)
@@ -171,11 +172,23 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     Ok(flags)
 }
 
+/// The value of `--name`, or `default` when the flag is absent.
 fn get<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> T {
-    flags
-        .get(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    get_opt(flags, name).unwrap_or(default)
+}
+
+/// The value of `--name`, if given. An unparsable value is a usage error:
+/// it is reported by flag name and the process exits nonzero, never falling
+/// back to a default.
+fn get_opt<T: std::str::FromStr>(flags: &Flags, name: &str) -> Option<T> {
+    let v = flags.get(name)?;
+    match v.parse() {
+        Ok(x) => Some(x),
+        Err(_) => {
+            eprintln!("error: --{name}: invalid value {v:?}");
+            std::process::exit(1)
+        }
+    }
 }
 
 fn protocol_of(flags: &Flags) -> Protocol {
@@ -252,8 +265,7 @@ fn cmd_run(flags: &Flags) -> ExitCode {
     let telemetry_path = flags.get("telemetry-out");
     if telemetry_path.is_some() || flags.contains_key("telemetry-interval") {
         let secs = get(flags, "telemetry-interval", 5.0f64);
-        // NaN from a malformed value falls to the default, so <= 0 is the bad case.
-        if secs <= 0.0 {
+        if !secs.is_finite() || secs <= 0.0 {
             eprintln!("error: --telemetry-interval wants a positive number of seconds");
             return ExitCode::FAILURE;
         }
@@ -396,7 +408,7 @@ fn cmd_inspect(args: &[String]) -> ExitCode {
              summaries cover only the surviving suffix"
         );
     }
-    if let Some(q) = flags.get("query").and_then(|v| v.parse::<u64>().ok()) {
+    if let Some(q) = get_opt(&flags, "query") {
         return print_query_timeline(&events, q);
     }
     let top = get(&flags, "top", 5usize);

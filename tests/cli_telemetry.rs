@@ -80,6 +80,28 @@ fn inspect_warns_about_ring_overflow_trailer() {
 }
 
 #[test]
+fn unparsable_flag_values_fail_naming_the_flag() {
+    let trace = tmp("flags.jsonl");
+    std::fs::write(&trace, demo_trace_jsonl()).unwrap();
+    for (args, flag) in [
+        (vec!["run", "--threads", "abc"], "--threads"),
+        (vec!["run", "--vehicles", "-3"], "--vehicles"),
+        (
+            vec!["inspect", trace.to_str().unwrap(), "--top", "abc"],
+            "--top",
+        ),
+    ] {
+        let out = run(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = stderr_of(&out);
+        assert!(
+            err.contains(&format!("{flag}: invalid value")),
+            "{args:?}: stderr should name {flag}, got:\n{err}"
+        );
+    }
+}
+
+#[test]
 fn run_telemetry_stream_is_seed_reproducible() {
     fn args(path: &str) -> Vec<&str> {
         vec![

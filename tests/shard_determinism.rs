@@ -157,9 +157,9 @@ fn sharded_telemetry_is_byte_identical() {
     }
 }
 
-/// The thread matrix: at a fixed shard count the worker-thread count is pure
-/// mechanism — per-shard queue mechanics move onto a pool while every handler
-/// still runs on the commit thread in global `(time, seq)` order — so reports
+/// The thread matrix: at a fixed shard count the thread count is pure
+/// mechanism — threads only split each mobility step over disjoint vehicle
+/// slices while every event runs in global `(time, seq)` order — so reports
 /// must be byte-identical to the single-shard run at every thread count.
 #[test]
 fn threaded_reports_are_byte_identical_across_thread_counts() {
@@ -179,7 +179,7 @@ fn threaded_reports_are_byte_identical_across_thread_counts() {
 }
 
 /// Traces and telemetry streams — the full serialized observable surface —
-/// stay byte-identical across worker-thread counts.
+/// stay byte-identical across thread counts.
 #[test]
 fn threaded_traces_and_telemetry_are_byte_identical() {
     let base_cfg = SimConfig {
@@ -207,7 +207,7 @@ fn threaded_traces_and_telemetry_are_byte_identical() {
     }
 }
 
-/// A thread count above the shard count clamps down to one worker per shard
+/// A thread count above the shard count clamps down to the shard count
 /// instead of failing; output bytes are unchanged.
 #[test]
 fn oversubscribed_thread_count_clamps_to_shards() {
@@ -252,10 +252,28 @@ fn zero_lookahead_config_fails_fast_when_sharded() {
         msg.contains("cannot shard this run"),
         "unexpected panic message: {msg}"
     );
-    // The same degenerate radio config is fine unsharded.
+    // The same degenerate radio config is fine unsharded: the executor runs
+    // it as one shard at zero lookahead, which counts no epochs and audits
+    // nothing, and its report is pinned to the value the run produced on the
+    // retired serial queue.
     let mut cfg = SimConfig::quick_demo(3);
     cfg.radio.per_hop_overhead = SimDuration::ZERO;
-    run_simulation(&cfg, Protocol::Hlsrg);
+    let r = run_simulation(&cfg, Protocol::Hlsrg);
+    assert_eq!(r.barrier_epochs, 0);
+    assert_eq!(r.lookahead_violations, 0);
+    let fp = fingerprint(&r);
+    assert_eq!(
+        fnv1a(fp.as_bytes()),
+        0xbdf4_fc3b_4a04_536a,
+        "zero-lookahead run drifted: {fp}"
+    );
+}
+
+/// 64-bit FNV-1a, enough to pin a fingerprint string in one constant.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// With the oracle armed, sharded runs stay violation-free (including the
