@@ -6,7 +6,7 @@ use criterion::{BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
-use vanet_des::{EventQueue, HeapQueue, SimDuration, SimTime};
+use vanet_des::{EpochExecutor, EventQueue, HeapQueue, SimDuration, SimTime};
 use vanet_geo::{Point, SpatialHash};
 use vanet_mobility::{LightConfig, MobilityConfig, MobilityModel, TrafficLights, VehicleId};
 use vanet_net::{
@@ -36,9 +36,8 @@ fn bench_event_queue(c: &mut Criterion) {
 
 /// The classic hold model: fill the queue to a steady-state depth, then
 /// alternate pop-one/schedule-one so the depth stays constant. This isolates
-/// the per-operation cost at a given depth — exactly where a calendar queue's
-/// amortized O(1) should separate from the heap's O(log n) — for both the
-/// calendar kernel and the retired heap reference.
+/// the per-operation cost at a given depth, for both the radix-heap kernel
+/// and the retired binary-heap reference.
 fn bench_event_queue_hold(c: &mut Criterion) {
     const HOLD_OPS: usize = 1_000;
     let mut group = c.benchmark_group("kernel/event_queue_hold");
@@ -56,20 +55,20 @@ fn bench_event_queue_hold(c: &mut Criterion) {
         // HOLD_OPS events and reinserts one per pop, so the depth — and with
         // it the per-operation cost being measured — stays constant while
         // the one-time fill stays out of the timing.
-        let mut cal = EventQueue::with_capacity(depth);
+        let mut radix = EventQueue::with_capacity(depth);
         let mut heap = HeapQueue::with_capacity(depth);
         for &t in &initial {
-            cal.schedule_at(SimTime::from_micros(t), t);
+            radix.schedule_at(SimTime::from_micros(t), t);
             heap.schedule_at(SimTime::from_micros(t), t);
         }
 
-        group.bench_with_input(BenchmarkId::new("calendar", depth), &depth, |b, _| {
+        group.bench_with_input(BenchmarkId::new("radix", depth), &depth, |b, _| {
             b.iter(|| {
                 let mut acc = 0u64;
                 for &d in &delays {
-                    let (_, e) = cal.pop().unwrap();
+                    let (_, e) = radix.pop().unwrap();
                     acc = acc.wrapping_add(e);
-                    cal.schedule_after(SimDuration::from_micros(d), d);
+                    radix.schedule_after(SimDuration::from_micros(d), d);
                 }
                 black_box(acc)
             })
@@ -86,6 +85,48 @@ fn bench_event_queue_hold(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+}
+
+/// The t = 0 join burst of a 10k-vehicle city: 410k radio receptions, each a
+/// 168-byte event (the size of an HLSRG event), all due within 2 ms, scheduled
+/// and then drained. This is where moving payloads costs most: a queue that
+/// copies events between internal structures pays it 410k times over.
+fn bench_event_queue_burst(c: &mut Criterion) {
+    const EVENTS: usize = 410_000;
+    let mut rng = SmallRng::seed_from_u64(11);
+    let times: Vec<u64> = (0..EVENTS).map(|_| rng.random_range(0..2_000)).collect();
+    let mut group = c.benchmark_group("kernel/event_queue_burst");
+    // One queue across iterations, reset in between, as a pooled worker
+    // reuses it across runs.
+    let mut q: EventQueue<[u64; 21]> = EventQueue::new();
+    group.bench_function("queue", |b| {
+        b.iter(|| {
+            q.reset();
+            for (i, &t) in times.iter().enumerate() {
+                q.schedule_at(SimTime::from_micros(t), [i as u64; 21]);
+            }
+            let mut acc = 0u64;
+            while let Some((_, e)) = q.pop() {
+                acc = acc.wrapping_add(e[20]);
+            }
+            black_box(acc)
+        })
+    });
+    // The simulator's own path: the executor at one shard, built per run.
+    group.bench_function("executor", |b| {
+        b.iter(|| {
+            let mut ex = EpochExecutor::new(1, SimDuration::from_millis(1)).unwrap();
+            for (i, &t) in times.iter().enumerate() {
+                ex.schedule_at(0, SimTime::from_micros(t), [i as u64; 21]);
+            }
+            let mut acc = 0u64;
+            while let Some((_, _, e)) = ex.pop() {
+                acc = acc.wrapping_add(e[20]);
+            }
+            black_box(acc)
+        })
+    });
     group.finish();
 }
 
@@ -209,6 +250,7 @@ fn main() {
     let mut c = Criterion::default().configure_from_args();
     bench_event_queue(&mut c);
     bench_event_queue_hold(&mut c);
+    bench_event_queue_burst(&mut c);
     bench_spatial_hash(&mut c);
     bench_gpsr(&mut c);
     bench_mobility_tick(&mut c);

@@ -1,172 +1,82 @@
-//! Epoch executor: per-shard calendar queues merged into one globally ordered
-//! pop stream, advanced in bulk-drained epochs on the calling thread.
+//! Epoch executor: region shards as labels on one event queue, with the
+//! conservative-sync contract audited event by event.
 //!
-//! [`EpochExecutor`] produces the exact `(time, global seq)` pop stream one
-//! unsharded [`EventQueue`] would, for any routing of events to shards. It
-//! advances in *epochs*:
+//! [`EpochExecutor`] is a [`SyncLedger`] plus one [`EventQueue`] whose payloads
+//! carry the shard each event was routed to. Every schedule books its shard
+//! and draws a global sequence number in the ledger, then enters the queue;
+//! every pop leaves the queue and is booked against its shard.
 //!
-//! 1. **Barrier.** When the committed region runs dry, the executor finds the
-//!    global minimum pending key across every shard's cached queue head,
-//!    fixes an inclusive epoch frontier `F = min + K·lookahead − 1µs`, and
-//!    bulk-drains every shard up to `F` ([`EventQueue::drain_into`]) into a
-//!    per-shard batch already sorted by `(time, seq)`.
-//! 2. **Commit.** Events pop one by one in global order from a merge of the
-//!    per-shard batch heads and an *overlay* heap. A schedule beyond `F` goes
-//!    straight into its shard's queue; one landing inside the committed
-//!    region — including any that violates the lookahead contract — goes to
-//!    the overlay, so it still executes in its exact global slot.
+//! # Why the pop stream is the sharded one
 //!
-//! # Why the merge is exact
+//! The ledger draws its global sequence in the same call order as the queue
+//! draws its own, so the queue's `(time, seq)` order *is* the `(time, global
+//! seq)` order a merge over per-shard queues would produce. Global sequence
+//! numbers are unique, so that order is total and tie-free: shard routing is
+//! a label, never an observable, and the same run gives the same bytes at
+//! any shard count.
 //!
-//! * Batches are sorted by `(time, global seq)`, the overlay heap orders by
-//!   it, and within a shard the inner queue's local-sequence order agrees with
-//!   it: every event enters its shard queue in the call order that draws the
-//!   global sequence numbers.
-//! * Global sequence numbers are unique, so the merge order is total and
-//!   tie-free. Shard routing is an implementation layout, never an
-//!   observable.
-//! * Barrier placement, epoch spans, and the adaptive span multiplier are
-//!   pure functions of the event set.
-//!
-//! Epochs may span *many* lookahead windows (`K` adapts to drain volume): a
-//! schedule landing inside the already-drained region is routed to the
-//! overlay heap instead of the shard queue, so nothing is ever executed early
-//! or out of order. The lookahead contract is still audited event by event
-//! through the [`SyncLedger`], and a violation-free run certifies that a
-//! handler-parallel executor would have been safe too.
-//!
-//! Bulk drains are also what makes epoch batching pay off on one core: they
-//! replace the per-pop bucket re-scans that go quadratic under same-instant
-//! bursts.
-
-use std::collections::BinaryHeap;
+//! What stays sharded is the contract a handler-parallel executor would rely
+//! on. The simulation loop declares the shard it executes on
+//! ([`EpochExecutor::set_origin`]); the ledger counts every cross-shard
+//! schedule closer than the lookahead as a violation, and counts the
+//! lookahead-wide epoch windows the pop clock crosses. A violation-free run
+//! certifies that per-shard execution between epoch barriers could not have
+//! diverged from the sequential order.
 
 use crate::event::{EventQueue, QueueTelemetry};
-use crate::shard::{checked_shards, ShardConfigError, ShardStats, SyncLedger, EMPTY_HEAD};
+use crate::shard::{checked_shards, ShardConfigError, ShardStats, SyncLedger};
 use crate::time::{SimDuration, SimTime};
 
-/// Epoch spans start at one lookahead window and adapt by powers of two:
-/// below this many drained events per epoch the span doubles (barrier
-/// overhead dominates), above [`SPAN_SHRINK_ABOVE`] it halves (commit-side
-/// batches grow past cache-friendly sizes). Both triggers are pure functions
-/// of the drained totals.
-const SPAN_GROW_BELOW: usize = 64;
-/// See [`SPAN_GROW_BELOW`].
-const SPAN_SHRINK_ABOVE: usize = 4096;
-/// Upper bound on the span multiplier (2^16 lookahead windows per epoch).
-const SPAN_MAX_MULT: u64 = 1 << 16;
-
-/// A commit-phase schedule that landed inside the committed region: merged
-/// by `(time, gseq)` against the batch heads. Reverse ordering turns
-/// `BinaryHeap`'s max-heap into the min-heap the merge needs.
-#[derive(Debug)]
-struct OverlayEntry<E> {
-    time: SimTime,
-    gseq: u64,
-    shard: usize,
-    event: E,
-}
-
-impl<E> OverlayEntry<E> {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.gseq)
-    }
-}
-
-impl<E> PartialEq for OverlayEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for OverlayEntry<E> {}
-impl<E> PartialOrd for OverlayEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for OverlayEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.key().cmp(&self.key())
-    }
-}
-
-/// A conservative executor over per-shard [`EventQueue`]s — see the module
-/// docs for the barrier protocol and the exactness argument.
+/// A conservative executor over shard-labelled events — see the module docs
+/// for why one queue yields the sharded pop stream.
 ///
 /// A strictly positive lookahead is required whenever `shards > 1`; one shard
 /// also runs at zero lookahead, which counts no epochs and audits nothing.
 #[derive(Debug)]
 pub struct EpochExecutor<E> {
     ledger: SyncLedger,
-    /// One calendar queue per shard; payloads carry their global sequence.
-    queues: Vec<EventQueue<(u64, E)>>,
-    /// Head key of each shard's queue, [`EMPTY_HEAD`] when empty.
-    queue_heads: Vec<(SimTime, u64)>,
-    /// Per-shard committed batch, sorted *descending* so the next event pops
-    /// from the back.
-    batches: Vec<Vec<(SimTime, (u64, E))>>,
-    /// Key of `batches[s].last()`, [`EMPTY_HEAD`] when drained.
-    batch_heads: Vec<(SimTime, u64)>,
-    /// Commit-phase schedules that landed inside the committed region.
-    overlay: BinaryHeap<OverlayEntry<E>>,
-    /// Inclusive end of the committed region; `None` before the first
-    /// barrier.
-    frontier: Option<SimTime>,
-    /// Current epoch span in lookahead windows (adaptive, deterministic).
-    span_mult: u64,
+    /// Every pending event, labelled with the shard it was routed to.
+    queue: EventQueue<(usize, E)>,
 }
 
 impl<E> EpochExecutor<E> {
-    /// Creates an executor with default-sized per-shard queues.
+    /// Creates an executor with a default-sized queue.
     pub fn new(shards: usize, lookahead: SimDuration) -> Result<Self, ShardConfigError> {
-        checked_shards(shards, lookahead)?;
-        Ok(Self::build(
-            lookahead,
-            (0..shards).map(|_| EventQueue::new()).collect(),
-        ))
+        Self::with_capacity(shards, lookahead, 0)
     }
 
-    /// Creates an executor whose shard queues are pre-sized: shard `s` for
-    /// `caps[s]` pending events spread over `horizon` of simulated time.
-    /// Per-shard capacities matter because shard 0 typically carries the
-    /// control plane (ticks, samplers) on top of its share of deliveries.
-    ///
-    /// `_threads` is ignored (the executor always runs on the calling
-    /// thread); it stays so the `hlsrg-bench` traced driver keeps compiling.
+    /// Creates an executor whose queue holds `cap` pending events before its
+    /// payload slab first grows.
+    pub fn with_capacity(
+        shards: usize,
+        lookahead: SimDuration,
+        cap: usize,
+    ) -> Result<Self, ShardConfigError> {
+        checked_shards(shards, lookahead)?;
+        Ok(EpochExecutor {
+            ledger: SyncLedger::new(shards, lookahead),
+            queue: EventQueue::with_capacity(cap),
+        })
+    }
+
+    /// Creates an executor over `caps.len()` shards, pre-sized for the sum of
+    /// `caps` pending events. The per-shard split, `_threads` and `_horizon`
+    /// are ignored: all shards share one queue, the executor always runs on
+    /// the calling thread, and the queue needs no time calibration. The
+    /// signature stays so the `hlsrg-bench` traced run keeps compiling.
     pub fn with_shard_capacities_and_horizon(
         _threads: usize,
         lookahead: SimDuration,
         caps: &[usize],
-        horizon: SimDuration,
+        _horizon: SimDuration,
     ) -> Result<Self, ShardConfigError> {
-        checked_shards(caps.len(), lookahead)?;
-        Ok(Self::build(
-            lookahead,
-            caps.iter()
-                .map(|&c| EventQueue::with_capacity_and_horizon(c.max(16), horizon))
-                .collect(),
-        ))
-    }
-
-    fn build(lookahead: SimDuration, queues: Vec<EventQueue<(u64, E)>>) -> Self {
-        let n = queues.len();
-        EpochExecutor {
-            ledger: SyncLedger::new(n, lookahead),
-            queues,
-            queue_heads: vec![EMPTY_HEAD; n],
-            batches: (0..n).map(|_| Vec::new()).collect(),
-            batch_heads: vec![EMPTY_HEAD; n],
-            overlay: BinaryHeap::new(),
-            frontier: None,
-            span_mult: 1,
-        }
+        Self::with_capacity(caps.len(), lookahead, caps.iter().sum())
     }
 
     /// Number of shards.
     #[inline]
     pub fn num_shards(&self) -> usize {
-        self.queues.len()
+        self.ledger.stats.len()
     }
 
     /// The conservative-sync lookahead window.
@@ -208,8 +118,7 @@ impl<E> EpochExecutor<E> {
 
     /// Conservative epoch windows the pop clock has crossed: how many
     /// `lookahead`-wide windows it advanced through. A pure function of the
-    /// pop stream and the lookahead (identical across shard counts), *not*
-    /// the executor's internal barrier count.
+    /// pop stream and the lookahead, so identical across shard counts.
     #[inline]
     pub fn epochs(&self) -> u64 {
         self.ledger.epochs
@@ -234,30 +143,18 @@ impl<E> EpochExecutor<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `shard` is out of range or `at` precedes the merged clock.
+    /// Panics if `shard` is out of range or `at` precedes the clock.
     pub fn schedule_at(&mut self, shard: usize, at: SimTime, event: E) {
         let gseq = self.ledger.on_schedule(shard, at);
-        match self.frontier {
-            // Inside the committed region (only possible from a commit-phase
-            // handler): merge through the overlay so the event still executes
-            // in its exact global slot.
-            Some(f) if at <= f => self.overlay.push(OverlayEntry {
-                time: at,
-                gseq,
-                shard,
-                event,
-            }),
-            _ => {
-                let key = (at, gseq);
-                if key < self.queue_heads[shard] {
-                    self.queue_heads[shard] = key;
-                }
-                self.queues[shard].schedule_at(at, (gseq, event));
-            }
-        }
+        debug_assert_eq!(
+            gseq,
+            self.queue.scheduled_total(),
+            "sequence streams diverged"
+        );
+        self.queue.schedule_at(at, (shard, event));
     }
 
-    /// Schedules `event` on `shard` to fire `delay` after the merged clock.
+    /// Schedules `event` on `shard` to fire `delay` after the clock.
     #[inline]
     pub fn schedule_after(&mut self, shard: usize, delay: SimDuration, event: E) {
         self.schedule_at(shard, self.ledger.now + delay, event);
@@ -288,140 +185,38 @@ impl<E> EpochExecutor<E> {
         }
     }
 
-    /// The committed region's head: `(is_overlay, shard, key)`.
-    fn committed_head(&self) -> Option<(bool, usize, (SimTime, u64))> {
-        let mut best = usize::MAX;
-        let mut best_key = EMPTY_HEAD;
-        for (i, &k) in self.batch_heads.iter().enumerate() {
-            if k < best_key {
-                best_key = k;
-                best = i;
-            }
-        }
-        match self.overlay.peek() {
-            Some(e) if e.key() < best_key => Some((true, e.shard, e.key())),
-            _ => (best != usize::MAX).then_some((false, best, best_key)),
-        }
-    }
-
-    /// Pops the committed region's head, if any.
-    fn commit_next(&mut self) -> Option<(SimTime, usize, E)> {
-        let (from_overlay, shard, _) = self.committed_head()?;
-        if from_overlay {
-            let e = self.overlay.pop().expect("peeked overlay head vanished");
-            self.ledger.on_pop(e.shard, e.time);
-            Some((e.time, e.shard, e.event))
-        } else {
-            let (t, (_gseq, event)) = self.batches[shard]
-                .pop()
-                .expect("cached batch head of an empty batch");
-            self.batch_heads[shard] = self.batches[shard]
-                .last()
-                .map(|e| (e.0, e.1 .0))
-                .unwrap_or(EMPTY_HEAD);
-            self.ledger.on_pop(shard, t);
-            Some((t, shard, event))
-        }
-    }
-
-    /// Minimum pending key outside the committed region.
-    fn pending_min(&self) -> (SimTime, u64) {
-        self.queue_heads.iter().copied().min().unwrap_or(EMPTY_HEAD)
-    }
-
-    /// Runs one barrier: drains every shard up to the new frontier into its
-    /// committed batch. Returns `false` (doing nothing) when nothing is
-    /// pending at or before `horizon`. Call only with the committed region
-    /// empty.
-    fn advance_epoch(&mut self, horizon: SimTime) -> bool {
-        debug_assert!(self.overlay.is_empty());
-        debug_assert!(self.batch_heads.iter().all(|&k| k == EMPTY_HEAD));
-        let gmin = self.pending_min();
-        if gmin == EMPTY_HEAD || gmin.0 > horizon {
-            return false;
-        }
-        // Inclusive frontier: K lookahead windows past the pending head.
-        let span_us = (self.ledger.lookahead.as_micros().max(1) as u128) * (self.span_mult as u128);
-        let until_us =
-            (gmin.0.as_micros() as u128 + span_us - 1).min(SimTime::MAX.as_micros() as u128) as u64;
-        let until = SimTime::from_micros(until_us);
-        debug_assert!(self.frontier.is_none_or(|f| until > f));
-        let mut drained = 0usize;
-        for (s, q) in self.queues.iter_mut().enumerate() {
-            let batch = &mut self.batches[s];
-            debug_assert!(batch.is_empty());
-            drained += q.drain_into(until, batch);
-            batch.reverse();
-            self.batch_heads[s] = batch.last().map(|e| (e.0, e.1 .0)).unwrap_or(EMPTY_HEAD);
-            self.queue_heads[s] = q.peek_entry().map(|(t, e)| (t, e.0)).unwrap_or(EMPTY_HEAD);
-        }
-        self.frontier = Some(until);
-        // Deterministic span adaptation — a pure function of drain volume.
-        if drained < SPAN_GROW_BELOW && self.span_mult < SPAN_MAX_MULT {
-            self.span_mult *= 2;
-        } else if drained > SPAN_SHRINK_ABOVE && self.span_mult > 1 {
-            self.span_mult /= 2;
-        }
-        true
+    /// Books a popped event against its shard.
+    #[inline]
+    fn book(&mut self, (t, (shard, event)): (SimTime, (usize, E))) -> (SimTime, usize, E) {
+        self.ledger.on_pop(shard, t);
+        (t, shard, event)
     }
 
     /// Timestamp of the globally earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let committed = self
-            .committed_head()
-            .map(|(_, _, k)| k)
-            .unwrap_or(EMPTY_HEAD);
-        let min = committed.min(self.pending_min());
-        (min != EMPTY_HEAD).then_some(min.0)
+        self.queue.peek_time()
     }
 
-    /// Pops the globally earliest event, advancing the merged clock. Returns
+    /// Pops the globally earliest event, advancing the clock. Returns
     /// `(time, shard, event)`; the shard is the one the event was routed to.
     pub fn pop(&mut self) -> Option<(SimTime, usize, E)> {
-        loop {
-            if let Some(out) = self.commit_next() {
-                return Some(out);
-            }
-            if !self.advance_epoch(SimTime::MAX) {
-                return None;
-            }
-        }
+        let popped = self.queue.pop()?;
+        Some(self.book(popped))
     }
 
     /// Pops the globally earliest event only if it fires at or before
-    /// `horizon`; otherwise leaves it in place (same one-touch contract as
-    /// [`EventQueue::pop_if_at_or_before`]). No barrier runs when the head
-    /// is beyond the horizon.
+    /// `horizon`; otherwise leaves everything in place (same one-touch
+    /// contract as [`EventQueue::pop_if_at_or_before`]).
     pub fn pop_if_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, usize, E)> {
-        loop {
-            if let Some((_, _, key)) = self.committed_head() {
-                if key.0 > horizon {
-                    return None;
-                }
-                return self.commit_next();
-            }
-            if !self.advance_epoch(horizon) {
-                return None;
-            }
-        }
+        let popped = self.queue.pop_if_at_or_before(horizon)?;
+        Some(self.book(popped))
     }
 
-    /// Aggregated self-telemetry across the shard queues: peak depth is the
-    /// merged queue's own peak (sum of in-flight events, matching what a
-    /// single queue would report), resizes sum, scan worst-cases max, bucket
-    /// counts sum, and the width is the widest shard's (the least calibrated
-    /// one).
+    /// The queue's self-telemetry. Its peak depth is the ledger's, since every
+    /// pending event sits in the one queue.
     pub fn telemetry(&self) -> QueueTelemetry {
-        let mut t = QueueTelemetry {
-            peak_depth: self.ledger.peak_depth,
-            ..QueueTelemetry::default()
-        };
-        for qt in self.queues.iter().map(EventQueue::telemetry) {
-            t.resizes += qt.resizes;
-            t.max_pop_scan = t.max_pop_scan.max(qt.max_pop_scan);
-            t.buckets += qt.buckets;
-            t.width_us = t.width_us.max(qt.width_us);
-        }
+        let t = self.queue.telemetry();
+        debug_assert_eq!(t.peak_depth, self.ledger.peak_depth);
         t
     }
 }
@@ -536,12 +331,12 @@ mod tests {
     }
 
     #[test]
-    fn bounded_pops_and_empty_epochs_match_reference() {
+    fn bounded_pops_match_reference() {
         let mut d = Differential::new(3);
         for i in 0..500u32 {
             d.schedule(i as usize % 3, (i as u64) * 400, i);
         }
-        // Horizons that land before, between, and after epoch frontiers.
+        // Horizons before, between, on and after pending events.
         for h in [
             0u64,
             150,
@@ -559,10 +354,10 @@ mod tests {
     }
 
     #[test]
-    fn commit_phase_schedules_inside_the_frontier_merge_exactly() {
-        // Pops interleaved with schedules that land inside the committed
-        // region — including cross-shard ones below the lookahead, which
-        // must be counted as violations yet still execute in order.
+    fn same_instant_cross_shard_schedules_merge_exactly() {
+        // Pops interleaved with schedules at the current instant — cross-shard
+        // ones below the lookahead, which must be counted as violations yet
+        // still execute in their exact global slot.
         let mut d = Differential::new(2);
         for i in 0..200u32 {
             d.schedule(i as usize % 2, 10_000 + (i as u64 % 7) * 10, i);
@@ -660,14 +455,14 @@ mod tests {
             q.schedule_at(0, SimTime::from_millis(ms), ms);
         }
         while q.pop().is_some() {}
-        // Pops at 0/1/2/5 ms with a 1 ms window: barriers at 1, 2 and 5 ms.
+        // Pops at 0/1/2/5 ms with a 1 ms window: windows open at 1, 2 and 5 ms.
         assert_eq!(q.epochs(), 3);
     }
 
     #[test]
     fn sparse_far_future_events_cross_many_epochs() {
-        // Events thousands of lookahead windows apart force the adaptive
-        // span to grow and far-tier migrations to happen inside the queues.
+        // Events thousands of lookahead windows apart: every pop opens an
+        // epoch window of its own.
         let mut d = Differential::new(2);
         for i in 0..40u32 {
             d.schedule(i as usize % 2, i as u64 * 3_000_000, i);
@@ -680,15 +475,35 @@ mod tests {
 
     #[test]
     fn telemetry_aggregates_across_shards() {
-        let mut ex = EpochExecutor::new(4, LA).unwrap();
-        for i in 0..1_000u32 {
-            ex.schedule_at(i as usize % 4, SimTime::from_micros(i as u64 * 13), i);
-        }
-        while ex.pop().is_some() {}
-        let t = ex.telemetry();
-        assert_eq!(t.peak_depth, 1_000);
-        assert!(t.buckets >= 4 * 16);
-        assert!(t.max_pop_scan >= 1);
+        // One queue holds every shard's events, so the telemetry is the same
+        // at any shard count: the peak is the total in flight, and the caps
+        // of all shards add up to one pre-size.
+        let run = |ex: &mut EpochExecutor<u32>| {
+            let shards = ex.num_shards();
+            for i in 0..1_000u32 {
+                ex.schedule_at(i as usize % shards, SimTime::from_micros(i as u64 * 13), i);
+            }
+            while ex.pop().is_some() {}
+            ex.telemetry()
+        };
+        let one = run(&mut EpochExecutor::new(1, LA).unwrap());
+        let four = run(&mut EpochExecutor::new(4, LA).unwrap());
+        assert_eq!(four, one);
+        assert_eq!(four.peak_depth, 1_000);
+        assert!(four.resizes > 0, "an unsized slab grows");
+        assert!(four.max_pop_scan >= 1);
+        let sized = run(&mut EpochExecutor::with_shard_capacities_and_horizon(
+            1,
+            LA,
+            &[250; 4],
+            SimDuration::from_secs(1),
+        )
+        .unwrap());
+        assert_eq!(sized.resizes, 0, "four caps of 250 pre-size 1,000 slots");
+        assert_eq!(
+            (sized.peak_depth, sized.max_pop_scan),
+            (1_000, four.max_pop_scan)
+        );
     }
 
     #[test]

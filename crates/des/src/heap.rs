@@ -1,17 +1,25 @@
 //! The binary-heap event queue, kept as the **reference implementation** for
-//! differential testing of the calendar-queue kernel.
+//! differential testing of the radix-heap kernel.
 //!
-//! This is the original `O(log n)` kernel the calendar queue replaced. Its
+//! This is the original `O(log n)` kernel, retired first for a calendar queue
+//! and then for today's radix heap. Its
 //! ordering semantics — strictly by timestamp, FIFO among events at the same
 //! instant — are trivially correct by construction of the comparator, which is
 //! exactly what makes it the oracle: the differential suite drives a
 //! [`HeapQueue`] and an [`crate::EventQueue`] through identical
 //! schedule/pop/reset interleavings and requires bit-identical pop streams.
 
-use crate::event::Scheduled;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+
+/// A scheduled event: payload `E` plus its firing time and insertion sequence.
+#[derive(Debug)]
+struct Scheduled<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
+}
 
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
@@ -147,7 +155,7 @@ impl<E> HeapQueue<E> {
     }
 
     /// Drops every pending event and resets the clock to t = 0. The heap's
-    /// allocation is kept (same storage-reuse contract as the calendar queue).
+    /// allocation is kept (same storage-reuse contract as the event queue).
     pub fn reset(&mut self) {
         self.heap.clear();
         self.next_seq = 0;

@@ -5,10 +5,10 @@
 //! A parallel conservative run (Chandy–Misra–Bryant style) is safe exactly
 //! when no shard can receive a cross-shard event earlier than `now +
 //! lookahead`: each shard may then process its own events up to the next
-//! epoch barrier without waiting on the others. The executor runs the merged
-//! stream on one thread (which is what makes byte-identity across shard
-//! counts structural), but it enforces and audits the contract a multi-core
-//! executor would rely on:
+//! epoch barrier without waiting on the others. The executor keeps every
+//! shard's events in one queue and runs them on one thread (which is what
+//! makes byte-identity across shard counts structural), but it enforces and
+//! audits the contract a multi-core executor would rely on:
 //!
 //! * Construction **fails fast** on a zero lookahead when `shards > 1` —
 //!   a degenerate config would deadlock a real conservative executor, so it
@@ -28,11 +28,6 @@
 //!   neither epochs nor violations are counted.
 
 use crate::time::{SimDuration, SimTime};
-
-/// Cached head sentinel for an empty shard. The `u64::MAX` sequence marks
-/// emptiness (a real event can fire at `SimTime::MAX` but never draws that
-/// sequence number), so the sentinel loses every comparison against real keys.
-pub(crate) const EMPTY_HEAD: (SimTime, u64) = (SimTime::MAX, u64::MAX);
 
 /// Why a sharded executor could not be constructed.
 #[derive(Debug, Clone, PartialEq, Eq)]

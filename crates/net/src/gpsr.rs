@@ -110,10 +110,9 @@ pub enum GpsrFailure {
 /// allocation-free.
 #[derive(Debug, Default)]
 pub struct GpsrScratch {
-    /// Recovery mode's filtered neighbor set.
+    /// The greedy pass's candidates (neighbors minus `exclude`), unsorted —
+    /// recovery mode ranks them without a second grid scan.
     neighbors: Vec<NodeId>,
-    /// Recovery mode's angular ranking.
-    ranked: Vec<(f64, NodeId)>,
 }
 
 /// Makes the routing decision for a packet currently held by `me`.
@@ -175,13 +174,17 @@ pub fn gpsr_step_scratch(
 
     // Greedy: the neighbor nearest the destination, ties to the lower id, in
     // one pass over the grid buckets. The (distance, id) order is total, so the
-    // order the buckets yield neighbors in cannot change the winner.
+    // order the buckets yield neighbors in cannot change the winner. The pass
+    // also records every candidate for recovery mode.
     let dst_pos = header.dst_pos;
     let mut best: Option<(NodeId, f64)> = None;
+    let neighbors = &mut scratch.neighbors;
+    neighbors.clear();
     reg.for_each_within(my_pos, range, |n, p| {
         if n == me || exclude.contains(&n) {
             return;
         }
+        neighbors.push(n);
         let d = p.distance(dst_pos);
         if best.is_none_or(|(bn, bd)| d.total_cmp(&bd).then_with(|| n.cmp(&bn)).is_lt()) {
             best = Some((n, d));
@@ -208,8 +211,6 @@ pub fn gpsr_step_scratch(
         // The perimeter walk is orbiting an empty target region: undeliverable.
         return GpsrStep::Fail(GpsrFailure::NoProgress);
     }
-    reg.nodes_within_into(my_pos, range, Some(me), &mut scratch.neighbors);
-    scratch.neighbors.retain(|n| !exclude.contains(n));
     let neighbors = &scratch.neighbors;
     let entry_dist = match header.mode {
         GpsrMode::Greedy => my_dist,
@@ -223,27 +224,24 @@ pub fn gpsr_step_scratch(
     let ref_angle = ref_vec.angle();
     // First neighbor counterclockwise from the reference edge, skipping the node we
     // came from (to avoid immediate ping-pong) unless it is the only neighbor.
-    let ranked = &mut scratch.ranked;
-    ranked.clear();
-    ranked.extend(
-        neighbors
-            .iter()
-            .filter(|&&n| Some(n) != header.prev)
-            .map(|&n| {
-                let a = (reg.pos(n) - my_pos).angle();
-                let ccw = vanet_geo::normalize_angle(a - ref_angle);
-                // Map to (0, 2π] so "just past the reference" sorts first.
-                let key = if ccw <= 0.0 {
-                    ccw + 2.0 * std::f64::consts::PI
-                } else {
-                    ccw
-                };
-                (key, n)
-            }),
-    );
-    ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    let next = match ranked.first() {
-        Some(&(_, n)) => n,
+    // The (angle, id) order is total, so the unsorted candidate list yields the
+    // same first neighbor a sorted ranking would.
+    let mut first: Option<(f64, NodeId)> = None;
+    for &n in neighbors.iter().filter(|&&n| Some(n) != header.prev) {
+        let a = (reg.pos(n) - my_pos).angle();
+        let ccw = vanet_geo::normalize_angle(a - ref_angle);
+        // Map to (0, 2π] so "just past the reference" ranks first.
+        let key = if ccw <= 0.0 {
+            ccw + 2.0 * std::f64::consts::PI
+        } else {
+            ccw
+        };
+        if first.is_none_or(|(fk, f)| key.total_cmp(&fk).then_with(|| n.cmp(&f)).is_lt()) {
+            first = Some((key, n));
+        }
+    }
+    let next = match first {
+        Some((_, n)) => n,
         None => match header.prev {
             // Dead-end: the only neighbor is where we came from; bounce back.
             Some(p) if neighbors.contains(&p) => p,
@@ -411,9 +409,16 @@ mod tests {
     /// The list-based step the one-pass greedy scan replaced, kept verbatim as
     /// the reference semantics: collect the neighbor set, sort it by id, and
     /// take the minimum by (distance, id) over positions read back from the
-    /// registry.
+    /// registry. Recovery sorts the whole candidate list, with its own
+    /// scratch type holding the list and the ranking.
     mod reference {
         use super::*;
+
+        #[derive(Default)]
+        pub struct GpsrScratch {
+            neighbors: Vec<NodeId>,
+            ranked: Vec<(f64, NodeId)>,
+        }
 
         pub fn gpsr_step_scratch(
             reg: &NodeRegistry,
@@ -601,7 +606,7 @@ mod tests {
                 };
                 let mut at = node(me);
                 let mut scratch = GpsrScratch::default();
-                let mut ref_scratch = GpsrScratch::default();
+                let mut ref_scratch = reference::GpsrScratch::default();
                 for hop in 0..24 {
                     // Only the first decision sees the random exclude set, as
                     // only a MAC reroute at one hop would.

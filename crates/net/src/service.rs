@@ -48,9 +48,11 @@ pub trait LocationService {
         Vec::new()
     }
 
-    /// Called once at t = 0 with a snapshot sample per vehicle: every vehicle
+    /// Called at t = 0 with a snapshot sample per vehicle: every vehicle
     /// announces itself when joining the network (initial registration). The
-    /// default does nothing.
+    /// harness may pass the fleet in slices, one call per slice, so a call over
+    /// a concatenation of slices must equal the calls over the slices in
+    /// order. The default does nothing.
     fn on_join(
         &mut self,
         core: &mut NetworkCore,

@@ -106,11 +106,16 @@ pub struct BenchRecord {
     pub peak_queue_depth: u64,
     /// Heap allocations per event (only from `bench-alloc` builds).
     pub allocs_per_event: Option<f64>,
-    /// Calendar-queue bucket rebuilds summed across the scenario's runs
-    /// (absent in rows recorded before the calendar-queue kernel).
+    /// Event-queue storage growths summed across the scenario's runs (absent
+    /// in rows recorded before the calendar-queue kernel). Rows recorded with
+    /// the calendar queue count its bucket rebuilds; rows recorded with the
+    /// radix heap count payload-slab growths. The two are not comparable.
     pub queue_resizes: Option<u64>,
-    /// Worst single-pop bucket scan across the scenario's runs (absent in
-    /// rows recorded before the calendar-queue kernel).
+    /// Worst single-pop scan across the scenario's runs (absent in rows
+    /// recorded before the calendar-queue kernel). Rows recorded with the
+    /// calendar queue give its longest bucket scan; rows recorded with the
+    /// radix heap give the most keys one pop redistributed. The two are not
+    /// comparable.
     pub max_bucket_scan: Option<u64>,
     /// Event-queue shard count for the shard-scaling scenarios (absent in
     /// single-queue rows and rows recorded before region sharding).

@@ -70,11 +70,10 @@ pub struct RunReport {
     pub events_processed: u64,
     /// Largest number of pending events observed in the queue at any point.
     pub peak_queue_depth: usize,
-    /// Calendar-queue bucket-array rebuilds triggered during the run (resize +
-    /// width recalibration; 0 means the initial sizing was already right).
+    /// Event-queue payload-slab growths during the run (0 means the initial
+    /// sizing was already right).
     pub queue_resizes: u64,
-    /// Longest bucket-rotation scan any single pop performed (the calendar
-    /// queue's worst case; ~1 when bucket width matches the event density).
+    /// Most keys any single pop redistributed to lower radix-heap buckets.
     pub queue_max_scan: u64,
     /// Events popped per shard `(scheduled, popped)`, one row per shard. A
     /// single-shard run has one row; the split across rows depends on the

@@ -406,7 +406,8 @@ fn drive<L: LocationService>(
     };
     // Pre-size the queue from the config: every mobility tick is scheduled up
     // front, and in-flight radio traffic scales with the fleet (~32 pending
-    // events per vehicle covers the observed peaks with headroom).
+    // events per vehicle covers the observed peaks with headroom). All shards
+    // share one queue, so this is one total at any shard count.
     let tick_count = (cfg.duration.as_micros() / cfg.mobility.tick.as_micros().max(1)) as usize;
     // Threads only split the mobility step (`step_par`) across disjoint
     // vehicle slices; never run more of them than the host has cores. Every
@@ -415,19 +416,9 @@ fn drive<L: LocationService>(
         .map(|n| n.get())
         .unwrap_or(usize::MAX);
     let threads = cfg.threads.clamp(1, shards).min(hw).max(1);
-    let deliveries_cap = cfg.vehicles * 32;
-    // Control-plane events (ticks, queries, samplers) all live on shard 0, on
-    // top of its delivery share — size it for both so smoke-scale sharded
-    // runs stop re-growing their queues mid-run.
-    let caps = if shards == 1 {
-        vec![tick_count + deliveries_cap + 64]
-    } else {
-        let mut caps = vec![(deliveries_cap / shards).max(16); shards];
-        caps[0] += tick_count + cfg.vehicles / 8 + 64;
-        caps
-    };
+    let cap = tick_count + cfg.vehicles * 32 + 64;
     let mut queue: EpochExecutor<Ev<L::Payload, L::Timer>> =
-        EpochExecutor::with_shard_capacities_and_horizon(1, lookahead, &caps, cfg.duration)
+        EpochExecutor::with_capacity(shards, lookahead, cap)
             .unwrap_or_else(|e| panic!("cannot shard this run: {e}"));
     // Shard routing: a delivery belongs to the shard owning the recipient's
     // current L3 region. Control events (ticks, queries, sampling) live on
@@ -488,10 +479,16 @@ fn drive<L: LocationService>(
     // Cumulative delivery events attributed to each L3 region (recipient's
     // region at pop time) — the telemetry shard-balance series.
     let mut region_events = vec![0u64; l3_count];
-    let fx = proto.on_join(&mut core, &joins, SimTime::ZERO);
-    #[cfg(feature = "check")]
-    note_fx(&mut check, &fx);
-    apply(&mut queue, fx, &core.registry, &shard_of, 0);
+    // One vehicle at a time: the same effects in the same order as one call
+    // over the fleet, without a fleet-sized effect buffer (tens of MB at city
+    // scale). Freeing that buffer raised glibc's mmap threshold by a
+    // seed-dependent amount, so peak memory jumped by ~30 MB on some seeds.
+    for join in joins.chunks(1) {
+        let fx = proto.on_join(&mut core, join, SimTime::ZERO);
+        #[cfg(feature = "check")]
+        note_fx(&mut check, &fx);
+        apply(&mut queue, fx, &core.registry, &shard_of, 0);
+    }
 
     // The explicit event loop (same stopping rule as `vanet_des::run_until`:
     // process while the head event's time is `<= horizon`), so the queue pop,

@@ -109,7 +109,7 @@ fn usage() {
 commands:
   run      one simulation            --protocol hlsrg|rlsmp  --vehicles N
                                      --map-size M  --seed S  --duration SECS  --csv
-                                     --shards N (region-sharded event queues;
+                                     --shards N (L3-region shards on one event queue;
                                      results are byte-identical for any N)
                                      --threads N (threads splitting each
                                      mobility step, at most N = shards and

@@ -47,9 +47,10 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 /// Every report field that must be identical across shard counts, rendered to
 /// one comparable string. Excluded as shard-count-dependent by construction:
 /// `shard_counts` (one row per shard) and `boundary_events` (counts handoffs
-/// that do not exist at one shard). Excluded as kernel self-diagnostics that
-/// depend on how events spread over bucket arrays: `queue_resizes`,
-/// `queue_max_scan`. Excluded as wall-clock: `phase_timings`.
+/// that do not exist at one shard). Left out as kernel self-diagnostics:
+/// `queue_resizes`, `queue_max_scan` (compared on their own below — every
+/// shard's events share one queue, so they are shard-invariant too). Excluded
+/// as wall-clock: `phase_timings`.
 fn fingerprint(r: &RunReport) -> String {
     format!(
         "protocol={} seed={} vehicles={} map={:?} updates={} update_radio={} \
@@ -109,6 +110,11 @@ fn sharded_reports_are_byte_identical_to_single_shard() {
                 fingerprint(&got),
                 want,
                 "{protocol:?} report drifted at {shards} shards"
+            );
+            assert_eq!(
+                (got.queue_resizes, got.queue_max_scan),
+                (base.queue_resizes, base.queue_max_scan),
+                "{protocol:?} queue telemetry drifted at {shards} shards"
             );
             // The per-shard split must still conserve the event totals.
             let scheduled: u64 = got.shard_counts.iter().map(|&(s, _)| s).sum();
