@@ -4,16 +4,16 @@
 //!
 //! * [`Oracle`] — cross-checks packet conservation, GPSR per-hop sanity and
 //!   loop freedom, partition geometry, and trace/counter reconciliation while a
-//!   run executes. The scenario runner drives it under its `check` cargo
-//!   feature; with the feature off nothing in this crate is linked into the
-//!   simulator and runs are bit-identical to a build without it.
+//!   run executes. The scenario runner drives it only when a run is armed
+//!   (`run_simulation_checked`); unarmed runs never touch it, and both
+//!   report the same counters.
 //! * [`FuzzCase`] — seeded random scenario knobs (via `StreamId::Custom`
 //!   streams), greedy shrinking, and a replayable JSONL corpus format, consumed
 //!   by the `fuzz` CLI subcommand.
 //!
 //! This crate deliberately depends only on the layers it checks (`vanet-net`,
-//! `vanet-roadnet`) — the scenario crate pulls it in as an optional dependency,
-//! never the other way around.
+//! `vanet-roadnet`) — the scenario crate depends on it, never the other way
+//! around.
 
 #![warn(missing_docs)]
 

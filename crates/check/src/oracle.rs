@@ -1,11 +1,11 @@
 //! The runtime invariant oracle.
 //!
-//! The scenario runner (under its `check` feature) threads every emission,
-//! delivery, and end-of-run state through an [`Oracle`]; the oracle cross-checks
-//! them against the simulator's core invariants and records the **first**
-//! violation it sees. A violated run still completes — the harness surfaces the
-//! violation out-of-band so the fuzzer can shrink the offending configuration
-//! instead of dying mid-run.
+//! An armed scenario run threads every emission, delivery, and end-of-run
+//! state through an [`Oracle`]; the oracle cross-checks them against the
+//! simulator's core invariants and records the **first** violation it sees. A
+//! violated run still completes — the harness surfaces the violation
+//! out-of-band so the fuzzer can shrink the offending configuration instead of
+//! dying mid-run.
 //!
 //! Invariants covered here:
 //!

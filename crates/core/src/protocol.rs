@@ -1071,12 +1071,11 @@ impl LocationService for HlsrgProtocol {
         }
     }
 
-    /// Location-table soundness (`check` feature): every L1 entry sits in the
+    /// Location-table soundness: every L1 entry sits in the
     /// table of the grid it was addressed to, its position maps back to that
     /// grid, and it has not drifted beyond the staleness bound of the vehicle's
     /// ground-truth position; upper-level entries carry sane timestamps and
     /// in-range reporter ids.
-    #[cfg(feature = "check")]
     fn check_invariants(
         &self,
         core: &NetworkCore,
@@ -1147,7 +1146,6 @@ impl LocationService for HlsrgProtocol {
     /// Oracle self-test hook: displace one stored L1 position far off the map.
     /// Deterministic despite HashMap iteration order: picks the smallest vehicle
     /// id in the first non-empty table.
-    #[cfg(feature = "check")]
     fn corrupt_location_tables(&mut self) {
         for table in &mut self.l1_tables {
             let Some(v) = table.iter().map(|(v, _)| v).min() else {

@@ -22,7 +22,7 @@ use rand::rngs::SmallRng;
 use vanet_des::{SimDuration, SimTime};
 use vanet_geo::{BBox, Point, Vec2};
 use vanet_roadnet::RsuId;
-use vanet_trace::{Phase, PhaseTimings, TraceEvent, Tracer};
+use vanet_trace::{TraceEvent, Tracer};
 
 /// In-flight packet state carried by a scheduled delivery.
 #[derive(Debug, Clone)]
@@ -83,9 +83,6 @@ pub struct NetworkCore {
     /// Structured event tracer; `None` (the default) costs one pointer test per
     /// potential event. Install with [`Self::set_tracer`].
     pub tracer: Option<Box<Tracer>>,
-    /// Wall-clock accounting of GPSR next-hop selection (no-op unless the
-    /// `trace` cargo feature is on).
-    pub timings: PhaseTimings,
     rng: SmallRng,
     /// Reused neighbor-query buffer: the per-transmission lookup allocates
     /// nothing once this has grown to the local density.
@@ -113,7 +110,6 @@ impl NetworkCore {
             wired,
             counters: NetCounters::new(),
             tracer: None,
-            timings: PhaseTimings::new(),
             rng,
             neighbor_scratch: Vec::new(),
             gpsr_scratch: GpsrScratch::default(),
@@ -247,49 +243,42 @@ impl NetworkCore {
         use crate::gpsr::{gpsr_step_scratch, GpsrFailure};
 
         let mut dead_neighbors: Vec<NodeId> = Vec::new();
-        // Take the scratch so the timing closure borrows self only via fields.
-        let mut scratch = std::mem::take(&mut self.gpsr_scratch);
-        let result = loop {
-            let step = self.timings.time(Phase::GpsrNextHop, || {
-                gpsr_step_scratch(
-                    &self.registry,
-                    self.radio.range,
-                    at,
-                    header,
-                    &dead_neighbors,
-                    &mut scratch,
-                )
-            });
+        loop {
+            let step = gpsr_step_scratch(
+                &self.registry,
+                self.radio.range,
+                at,
+                header,
+                &dead_neighbors,
+                &mut self.gpsr_scratch,
+            );
             match step {
                 GpsrStep::Arrived => {
                     break Routed::Arrived { class, payload };
                 }
                 GpsrStep::Forward { next, header: fwd } => {
                     let (pa, pb) = (self.registry.pos(at), self.registry.pos(next));
-                    // Inline invariant assertions (`check` feature): cheap
-                    // per-hop sanity that also covers non-runner entry points
-                    // (floods, unit tests). The runner-side oracle re-checks
-                    // these without panicking so fuzz failures shrink cleanly.
-                    #[cfg(feature = "check")]
-                    {
-                        assert!(
-                            fwd.ttl < header.ttl,
-                            "gpsr forward must decrement ttl ({} -> {})",
-                            header.ttl,
-                            fwd.ttl
-                        );
-                        assert!(
-                            fwd.recovery_hops <= crate::gpsr::MAX_RECOVERY_HOPS,
-                            "gpsr recovery hop budget exceeded: {}",
-                            fwd.recovery_hops
-                        );
-                        assert!(
-                            pa.distance(pb) <= self.radio.range + 1e-6,
-                            "gpsr hop spans {:.1} m, beyond the {:.1} m radio range",
-                            pa.distance(pb),
-                            self.radio.range
-                        );
-                    }
+                    // Inline invariant assertions: cheap per-hop sanity that
+                    // also covers non-runner entry points (floods, unit
+                    // tests). The runner-side oracle re-checks these without
+                    // panicking so fuzz failures shrink cleanly.
+                    assert!(
+                        fwd.ttl < header.ttl,
+                        "gpsr forward must decrement ttl ({} -> {})",
+                        header.ttl,
+                        fwd.ttl
+                    );
+                    assert!(
+                        fwd.recovery_hops <= crate::gpsr::MAX_RECOVERY_HOPS,
+                        "gpsr recovery hop budget exceeded: {}",
+                        fwd.recovery_hops
+                    );
+                    assert!(
+                        pa.distance(pb) <= self.radio.range + 1e-6,
+                        "gpsr hop spans {:.1} m, beyond the {:.1} m radio range",
+                        pa.distance(pb),
+                        self.radio.range
+                    );
                     let mut attempts = 0u64;
                     let mut success = false;
                     while attempts <= self.radio.retries as u64 {
@@ -353,9 +342,7 @@ impl NetworkCore {
                     break Routed::Dropped;
                 }
             }
-        };
-        self.gpsr_scratch = scratch;
-        result
+        }
     }
 
     /// Wired RSU-to-RSU transfer over the backbone's shortest path.
@@ -501,23 +488,6 @@ impl NetworkCore {
             .collect()
     }
 
-    /// Processes a fired delivery. Returns the payload if this was the final hop
-    /// (for the protocol at `to`), plus at most one follow-up emission (GPSR
-    /// forwarding) — so the per-event hot path allocates nothing.
-    pub fn handle_deliver_step<P>(
-        &mut self,
-        to: NodeId,
-        transport: Transport<P>,
-    ) -> (Option<(PacketClass, P)>, Option<Emission<P>>) {
-        let start = PhaseTimings::ENABLED.then(std::time::Instant::now);
-        let r = self.handle_deliver_inner(to, transport);
-        if let Some(s) = start {
-            self.timings
-                .record_duration(Phase::RadioDelivery, s.elapsed());
-        }
-        r
-    }
-
     /// [`handle_deliver_step`](Self::handle_deliver_step) with the follow-up
     /// lifted into a `Vec` — the allocating convenience form for tests and
     /// small drain loops.
@@ -530,7 +500,10 @@ impl NetworkCore {
         (arrived, more.into_iter().collect())
     }
 
-    fn handle_deliver_inner<P>(
+    /// Processes a fired delivery. Returns the payload if this was the final hop
+    /// (for the protocol at `to`), plus at most one follow-up emission (GPSR
+    /// forwarding) — so the per-event hot path allocates nothing.
+    pub fn handle_deliver_step<P>(
         &mut self,
         to: NodeId,
         transport: Transport<P>,

@@ -123,12 +123,11 @@ pub trait LocationService {
         let _ = out;
     }
 
-    /// Invariant hook (`check` feature): audits the protocol's internal state —
-    /// chiefly location-table soundness against the registry's ground-truth
-    /// positions, where no stored position may drift more than
+    /// Invariant hook for the runtime oracle: audits the protocol's internal
+    /// state — chiefly location-table soundness against the registry's
+    /// ground-truth positions, where no stored position may drift more than
     /// `max_speed · age + pos_slack` meters from the vehicle's current one.
     /// Returns `Err(detail)` on the first violated invariant.
-    #[cfg(feature = "check")]
     fn check_invariants(
         &self,
         core: &NetworkCore,
@@ -140,10 +139,9 @@ pub trait LocationService {
         Ok(())
     }
 
-    /// Deliberately corrupts one location-table entry (`check` feature only):
-    /// the oracle self-test uses this to prove [`Self::check_invariants`]
-    /// actually catches unsound state. Default: no tables, nothing to corrupt.
-    #[cfg(feature = "check")]
+    /// Deliberately corrupts one location-table entry: the oracle self-test
+    /// uses this to prove [`Self::check_invariants`] actually catches unsound
+    /// state. Default: no tables, nothing to corrupt.
     fn corrupt_location_tables(&mut self) {}
 }
 

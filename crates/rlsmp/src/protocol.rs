@@ -699,11 +699,10 @@ impl LocationService for RlsmpProtocol {
         ]
     }
 
-    /// Location-table soundness (`check` feature): every cell-leader entry maps
+    /// Location-table soundness: every cell-leader entry maps
     /// back to the cell whose table holds it and stays within the staleness
     /// bound of the vehicle's ground-truth position; LSC entries carry sane
     /// timestamps and in-range cell ids.
-    #[cfg(feature = "check")]
     fn check_invariants(
         &self,
         core: &NetworkCore,
@@ -755,7 +754,6 @@ impl LocationService for RlsmpProtocol {
     /// Oracle self-test hook: displace one stored cell position far off the
     /// map, picking the smallest vehicle id in the first non-empty table so the
     /// corruption is deterministic despite HashMap iteration order.
-    #[cfg(feature = "check")]
     fn corrupt_location_tables(&mut self) {
         for table in &mut self.cell_tables {
             let Some(&v) = table.keys().min() else {

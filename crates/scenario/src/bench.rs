@@ -3,12 +3,11 @@
 //!
 //! Every record measures one scenario: wall-clock time, discrete events
 //! processed, events per second, the peak event-queue depth, and (when the
-//! binary is built with the `bench-alloc` feature) an allocations-per-event
-//! estimate from a counting global allocator. Scenarios are a pure function of
-//! their config, so the events/queue-depth figures are identical across
-//! repetitions — only wall time varies, and the *best* repetition is recorded
-//! (standard practice: the minimum is the least noisy estimator of the true
-//! cost on a shared machine).
+//! caller installs one) an allocations-per-event estimate from a counting
+//! global allocator. Scenarios are a pure function of their config, so the
+//! events/queue-depth figures are identical across repetitions — only wall
+//! time varies, and the *best* repetition is recorded (standard practice: the
+//! minimum is the least noisy estimator of the true cost on a shared machine).
 //!
 //! The trajectory file is a JSON array with one flat record object per line,
 //! so it can be parsed with the same line-splitting idiom as the fuzz corpus
@@ -64,9 +63,9 @@ pub struct BenchOptions {
     pub reps: usize,
     /// Worker threads for the sweep scenario (the job pool's width).
     pub threads: usize,
-    /// Reads the process-wide allocation counter, when the binary compiled one
-    /// in (`bench-alloc` feature). `None` leaves `allocs_per_event` unset.
-    pub alloc_count: Option<fn() -> u64>,
+    /// The process's counting global allocator, armed only around the first
+    /// repetition of each scenario. `None` leaves `allocs_per_event` unset.
+    pub alloc_counter: Option<AllocCounter>,
     /// Run only the scenario with this exact name (e.g. `hlsrg_shards1`).
     /// `None` runs the full suite for the scale. Lets CI measure one large
     /// row without paying for the whole large tier.
@@ -81,10 +80,19 @@ impl Default for BenchOptions {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            alloc_count: None,
+            alloc_counter: None,
             only: None,
         }
     }
+}
+
+/// Hooks into a counting global allocator the binary installs.
+#[derive(Debug, Clone, Copy)]
+pub struct AllocCounter {
+    /// Starts (`true`) or stops (`false`) counting.
+    pub arm: fn(bool),
+    /// Allocations counted so far.
+    pub count: fn() -> u64,
 }
 
 /// One measured scenario: a line of the trajectory file.
@@ -104,7 +112,7 @@ pub struct BenchRecord {
     pub events_per_sec: f64,
     /// Largest pending-event count observed in any run's queue.
     pub peak_queue_depth: u64,
-    /// Heap allocations per event (only from `bench-alloc` builds).
+    /// Heap allocations per event (absent when no counting allocator ran).
     pub allocs_per_event: Option<f64>,
     /// Event-queue storage growths summed across the scenario's runs (absent
     /// in rows recorded before the calendar-queue kernel). Rows recorded with
@@ -268,10 +276,17 @@ fn measure(
     let mut queue_resizes = 0u64;
     let mut max_bucket_scan = 0u64;
     for rep in 0..opts.reps.max(1) {
-        let allocs_before = opts.alloc_count.map(|f| f());
+        let counter = opts.alloc_counter.filter(|_| rep == 0);
+        let allocs_before = counter.map(|c| {
+            (c.arm)(true);
+            (c.count)()
+        });
         let start = Instant::now();
         let reports = run();
         let wall = start.elapsed().as_secs_f64() * 1e3;
+        if let Some(c) = counter {
+            (c.arm)(false);
+        }
         let ev: u64 = reports.iter().map(|r| r.events_processed).sum();
         let pk = reports
             .iter()
@@ -283,8 +298,8 @@ fn measure(
             peak = pk;
             queue_resizes = reports.iter().map(|r| r.queue_resizes).sum();
             max_bucket_scan = reports.iter().map(|r| r.queue_max_scan).max().unwrap_or(0);
-            if let (Some(before), Some(f)) = (allocs_before, opts.alloc_count) {
-                let delta = f().saturating_sub(before);
+            if let (Some(before), Some(c)) = (allocs_before, counter) {
+                let delta = (c.count)().saturating_sub(before);
                 allocs_per_event = Some(delta as f64 / ev.max(1) as f64);
             }
         } else {

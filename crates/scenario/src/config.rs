@@ -138,30 +138,82 @@ impl SimConfig {
 
     /// Sanity-checks the configuration, panicking on nonsense.
     pub fn validate(&self) {
-        assert!(self.vehicles > 0, "need at least one vehicle");
-        assert!(self.duration > self.warmup, "duration must exceed warmup");
-        assert!(
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// Sanity-checks the configuration, naming the first nonsensical field.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let ensure =
+            |ok: bool, field, reason| ok.then_some(()).ok_or(ConfigError { field, reason });
+        ensure(self.vehicles > 0, "vehicles", "need at least one vehicle")?;
+        ensure(
+            self.duration > self.warmup,
+            "duration",
+            "duration must exceed warmup",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.query_fraction),
-            "query fraction must be a probability"
-        );
-        if let Some(qs) = &self.explicit_queries {
-            for &(_, s, d) in qs {
-                assert!((s.0 as usize) < self.vehicles, "query source out of range");
-                assert!(
-                    (d.0 as usize) < self.vehicles,
-                    "query destination out of range"
-                );
-                assert_ne!(s, d, "self-queries are meaningless");
-            }
+            "query_fraction",
+            "query fraction must be a probability",
+        )?;
+        for &(_, s, d) in self.explicit_queries.iter().flatten() {
+            let q = "explicit_queries";
+            ensure(
+                (s.0 as usize) < self.vehicles,
+                q,
+                "query source out of range",
+            )?;
+            ensure(
+                (d.0 as usize) < self.vehicles,
+                q,
+                "query destination out of range",
+            )?;
+            ensure(s != d, q, "self-queries are meaningless")?;
         }
-        assert!(self.l1_size > 0.0, "positive L1 size required");
-        if let Some(iv) = self.telemetry_interval {
-            assert!(!iv.is_zero(), "telemetry interval must be positive");
-        }
-        assert!(self.shards >= 1, "need at least one event-queue shard");
-        assert!(self.threads >= 1, "need at least one thread");
+        ensure(self.l1_size > 0.0, "l1_size", "positive L1 size required")?;
+        let m = &self.map;
+        ensure(
+            self.map_text.is_some()
+                || (m.spacing > 0.0
+                    && m.width.is_finite()
+                    && m.height.is_finite()
+                    && m.cols() >= 2
+                    && m.rows() >= 2),
+            "map",
+            "map must be finite and span at least one road spacing",
+        )?;
+        ensure(
+            self.telemetry_interval.is_none_or(|iv| !iv.is_zero()),
+            "telemetry_interval",
+            "telemetry interval must be positive",
+        )?;
+        ensure(
+            self.shards >= 1,
+            "shards",
+            "need at least one event-queue shard",
+        )?;
+        ensure(self.threads >= 1, "threads", "need at least one thread")
     }
 }
+
+/// The first nonsensical field [`SimConfig::check`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The [`SimConfig`] field at fault.
+    pub field: &'static str,
+    /// What is wrong with it.
+    pub reason: &'static str,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.reason)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {

@@ -1,4 +1,4 @@
-//! The deterministic scenario fuzzer (`check` feature).
+//! The deterministic scenario fuzzer.
 //!
 //! Drives [`FuzzCase`]s — seeded random scenario knobs from
 //! `StreamId::Custom` streams — through [`run_simulation_checked`] with the
@@ -50,7 +50,7 @@ pub fn protocol_of_case(case: &FuzzCase) -> Protocol {
 
 /// Runs one case with the oracle armed; `Some((invariant, detail))` on failure.
 ///
-/// Panics (e.g. the network core's inline `check` assertions, or index bugs the
+/// Panics (e.g. the network core's inline GPSR assertions, or index bugs the
 /// fuzzer exists to find) are caught and reported like violations so a fuzzing
 /// campaign always finishes and can shrink what it found.
 pub fn run_case(case: &FuzzCase) -> Option<(String, String)> {

@@ -21,7 +21,6 @@
 pub mod bench;
 pub mod config;
 pub mod figures;
-#[cfg(feature = "check")]
 pub mod fuzz;
 pub mod metrics;
 pub mod plot;
@@ -31,16 +30,17 @@ pub mod report;
 pub mod runner;
 
 pub use bench::{
-    append_trajectory, compare_trajectory, parse_trajectory, run_bench, BenchOptions, BenchRecord,
-    BenchScale, CompareRow, BENCH_SHARD_COUNTS,
+    append_trajectory, compare_trajectory, parse_trajectory, run_bench, AllocCounter, BenchOptions,
+    BenchRecord, BenchScale, CompareRow, BENCH_SHARD_COUNTS,
 };
-pub use config::{Protocol, SimConfig};
+pub use config::{ConfigError, Protocol, SimConfig};
 pub use figures::{fig3_2, fig3_3, fig3_345, fig3_4, fig3_5, ComparisonPoint, Figure, FigureScale};
-pub use metrics::{AveragedReport, PhaseTimingRow, RunReport, TimelinePoint};
+pub use metrics::{AveragedReport, RunReport, TimelinePoint};
 pub use plot::{ascii_chart, svg_chart};
 pub use pool::JobPool;
 pub use replicate::{replicate, replicate_averaged, replicate_batch, replicate_with_threads};
 pub use report::{render_report, ReportInputs};
-pub use runner::{run_simulation, run_simulation_instrumented, run_simulation_traced};
-#[cfg(feature = "check")]
-pub use runner::{run_simulation_checked, CheckSetup, Violation};
+pub use runner::{
+    run_simulation, run_simulation_checked, run_simulation_instrumented, run_simulation_traced,
+    CheckSetup, Violation,
+};

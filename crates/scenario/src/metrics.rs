@@ -62,9 +62,6 @@ pub struct RunReport {
     pub diagnostics: Vec<(&'static str, f64)>,
     /// Periodic samples over the run (empty unless `SimConfig::timeline_period`).
     pub timeline: Vec<TimelinePoint>,
-    /// Wall-clock timings of the DES hot phases (empty unless the suite was
-    /// built with the `trace` cargo feature).
-    pub phase_timings: Vec<PhaseTimingRow>,
     /// Discrete events processed by the run's event loop (the denominator of the
     /// `bench` subcommand's events/sec figure).
     pub events_processed: u64,
@@ -94,31 +91,6 @@ pub struct RunReport {
     /// epochs). A pure function of the pop stream, so identical across shard
     /// counts.
     pub barrier_epochs: u64,
-}
-
-/// One DES hot phase's aggregated wall-clock cost.
-#[derive(Debug, Clone, Serialize)]
-pub struct PhaseTimingRow {
-    /// Phase name (`event_pop`, `mobility_step`, `radio_delivery`,
-    /// `gpsr_next_hop`).
-    pub phase: &'static str,
-    /// Number of timed calls.
-    pub count: u64,
-    /// Mean call duration in nanoseconds.
-    pub mean_ns: f64,
-    /// Total time in the phase, in milliseconds.
-    pub total_ms: f64,
-}
-
-impl From<vanet_trace::PhaseSummary> for PhaseTimingRow {
-    fn from(s: vanet_trace::PhaseSummary) -> Self {
-        PhaseTimingRow {
-            phase: s.phase,
-            count: s.count,
-            mean_ns: s.mean_ns,
-            total_ms: s.total_ms,
-        }
-    }
 }
 
 /// One timeline sample: simulation time plus the state visible at that moment.
@@ -180,7 +152,6 @@ impl RunReport {
             artery_share: 0.0,
             diagnostics: Vec::new(),
             timeline: Vec::new(),
-            phase_timings: Vec::new(),
             events_processed: 0,
             peak_queue_depth: 0,
             queue_resizes: 0,

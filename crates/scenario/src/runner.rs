@@ -24,15 +24,13 @@ use vanet_net::{
 };
 use vanet_roadnet::{generate_grid, Partition, RoadNetwork};
 use vanet_trace::{
-    Phase, TelemetrySample, TelemetrySampler, TelemetrySnapshot, Tracer, DEFAULT_RING_CAPACITY,
+    TelemetrySample, TelemetrySampler, TelemetrySnapshot, Tracer, DEFAULT_RING_CAPACITY,
 };
 
-#[cfg(feature = "check")]
 pub use vanet_check::Violation;
 
-/// Options for a checked run (`check` feature): the location-table staleness
-/// slack, the deliberate-corruption self-test, and the reconciliation tracer.
-#[cfg(feature = "check")]
+/// Options for a checked run: the location-table staleness slack, the
+/// deliberate-corruption self-test, and the reconciliation tracer.
 #[derive(Debug, Clone)]
 pub struct CheckSetup {
     /// Extra slack (m) on the location-table ground-truth bound
@@ -46,7 +44,6 @@ pub struct CheckSetup {
     pub trace_ring: Option<usize>,
 }
 
-#[cfg(feature = "check")]
 impl Default for CheckSetup {
     fn default() -> Self {
         CheckSetup {
@@ -57,16 +54,7 @@ impl Default for CheckSetup {
     }
 }
 
-/// What the public entry points thread into the impl: the setup plus an
-/// out-slot for the first violation. With the feature off this is `()`, so
-/// every call site can pass `Default::default()` and compile either way.
-#[cfg(feature = "check")]
-type CheckArg<'a> = Option<(&'a CheckSetup, &'a mut Option<Violation>)>;
-#[cfg(not(feature = "check"))]
-type CheckArg<'a> = ();
-
 /// Live oracle state carried through `drive`.
-#[cfg(feature = "check")]
 struct CheckState<'a> {
     setup: &'a CheckSetup,
     oracle: vanet_check::Oracle,
@@ -74,14 +62,8 @@ struct CheckState<'a> {
     corrupted: bool,
 }
 
-#[cfg(feature = "check")]
-type CheckStateArg<'a> = Option<CheckState<'a>>;
-#[cfg(not(feature = "check"))]
-type CheckStateArg<'a> = ();
-
 /// Ledger hook: counts the `Deliver` effects about to be scheduled.
-#[cfg(feature = "check")]
-fn note_fx<P, T>(check: &mut CheckStateArg<'_>, fx: &[Effect<P, T>]) {
+fn note_fx<P, T>(check: &mut Option<CheckState<'_>>, fx: &[Effect<P, T>]) {
     if let Some(cs) = check.as_mut() {
         for f in fx {
             if let Effect::Deliver(e) = f {
@@ -155,18 +137,15 @@ impl MobilitySource {
 }
 
 /// Runs one simulation of `cfg` under the chosen protocol.
-// `CheckArg` is `()` without the `check` feature, hence the unit-arg allow.
-#[allow(clippy::unit_arg)]
 pub fn run_simulation(cfg: &SimConfig, protocol: Protocol) -> RunReport {
-    run_simulation_full(cfg, protocol, None, Default::default()).0
+    run_simulation_full(cfg, protocol, None, None).0
 }
 
 /// Runs one simulation with a structured event trace attached, returning the
 /// report plus the tracer holding the event ring and derived metrics registry.
-#[allow(clippy::unit_arg)]
 pub fn run_simulation_traced(cfg: &SimConfig, protocol: Protocol) -> (RunReport, Tracer) {
     let tracer = Box::new(Tracer::new(DEFAULT_RING_CAPACITY));
-    let (report, tracer, _) = run_simulation_full(cfg, protocol, Some(tracer), Default::default());
+    let (report, tracer, _) = run_simulation_full(cfg, protocol, Some(tracer), None);
     (
         report,
         *tracer.expect("tracer installed before the run survives it"),
@@ -178,22 +157,20 @@ pub fn run_simulation_traced(cfg: &SimConfig, protocol: Protocol) -> (RunReport,
 /// Returns the report, the tracer (when requested), and the telemetry time
 /// series — one [`TelemetrySample`] per sampling tick plus a final end-of-run
 /// sample at `cfg.duration` that reconciles exactly with the report counters.
-#[allow(clippy::unit_arg)]
 pub fn run_simulation_instrumented(
     cfg: &SimConfig,
     protocol: Protocol,
     with_trace: bool,
 ) -> (RunReport, Option<Tracer>, Vec<TelemetrySample>) {
     let tracer = with_trace.then(|| Box::new(Tracer::new(DEFAULT_RING_CAPACITY)));
-    let (report, tracer, samples) = run_simulation_full(cfg, protocol, tracer, Default::default());
+    let (report, tracer, samples) = run_simulation_full(cfg, protocol, tracer, None);
     (report, tracer.map(|t| *t), samples)
 }
 
-/// Runs one simulation with the invariant oracle armed (`check` feature),
-/// returning the report plus the first violated invariant, if any. A violated
-/// run still completes — the violation is surfaced, not panicked, so the
-/// fuzzer can shrink the configuration that caused it.
-#[cfg(feature = "check")]
+/// Runs one simulation with the invariant oracle armed, returning the report
+/// plus the first violated invariant, if any. A violated run still completes —
+/// the violation is surfaced, not panicked, so the fuzzer can shrink the
+/// configuration that caused it.
 pub fn run_simulation_checked(
     cfg: &SimConfig,
     protocol: Protocol,
@@ -209,7 +186,7 @@ fn run_simulation_full(
     cfg: &SimConfig,
     protocol: Protocol,
     tracer: Option<Box<Tracer>>,
-    check: CheckArg<'_>,
+    check: Option<(&CheckSetup, &mut Option<Violation>)>,
 ) -> (RunReport, Option<Box<Tracer>>, Vec<TelemetrySample>) {
     let mut map_rng = stream_rng(cfg.seed, StreamId::MapGen);
     let net = match &cfg.map_text {
@@ -285,8 +262,7 @@ fn run_simulation_full(
 
     // Static partition geometry is checked once, before any event fires; the
     // RSU registration cross-check only applies when RSUs exist as nodes.
-    #[cfg(feature = "check")]
-    let check: CheckStateArg<'_> = check.map(|(setup, out)| {
+    let check = check.map(|(setup, out)| {
         let mut oracle = vanet_check::Oracle::new();
         let rsu_positions: Option<Vec<vanet_geo::Point>> = match protocol {
             Protocol::Hlsrg => Some(
@@ -385,12 +361,8 @@ fn drive<L: LocationService>(
     mut core: NetworkCore,
     mut proto: L,
     deadline: SimDuration,
-    check: CheckStateArg<'_>,
+    mut check: Option<CheckState<'_>>,
 ) -> (RunReport, Option<Box<Tracer>>, Vec<TelemetrySample>) {
-    #[cfg(feature = "check")]
-    let mut check = check;
-    #[cfg(not(feature = "check"))]
-    let () = check;
     // Conservative-sync lookahead, derived for *every* shard count so the
     // barrier-epoch telemetry is shard-invariant. A degenerate config only
     // matters when the run is actually sharded — a single shard needs no
@@ -467,12 +439,11 @@ fn drive<L: LocationService>(
     let mut lat_seen: Vec<bool> = Vec::new();
     // Protocol start-of-world timers, then initial registration of every vehicle.
     let fx = proto.on_start(&mut core);
-    #[cfg(feature = "check")]
     note_fx(&mut check, &fx);
     apply(&mut queue, fx, &core.registry, &shard_of, 0);
     let joins = model.snapshot(&net);
     // Per-vehicle L3 region, tracked incrementally: the source of the
-    // migration count and (under `check`) the conservation audit.
+    // migration count and (when the oracle is armed) the conservation audit.
     let mut region_of: Vec<u32> = joins.iter().map(|s| partition.l3_of(s.new_pos).0).collect();
     let mut shard_migrations = 0u64;
     let mut boundary_events = 0u64;
@@ -485,32 +456,25 @@ fn drive<L: LocationService>(
     // seed-dependent amount, so peak memory jumped by ~30 MB on some seeds.
     for join in joins.chunks(1) {
         let fx = proto.on_join(&mut core, join, SimTime::ZERO);
-        #[cfg(feature = "check")]
         note_fx(&mut check, &fx);
         apply(&mut queue, fx, &core.registry, &shard_of, 0);
     }
 
     // The explicit event loop (same stopping rule as `vanet_des::run_until`:
-    // process while the head event's time is `<= horizon`), so the queue pop,
-    // the mobility step, and radio delivery can each sit inside a timing span.
+    // process while the head event's time is `<= horizon`).
     let horizon = SimTime::ZERO + cfg.duration;
     let mut events_processed = 0u64;
     let mut peak_queue_depth = queue.len();
     loop {
         peak_queue_depth = peak_queue_depth.max(queue.len());
-        let popped = core
-            .timings
-            .time(Phase::EventPop, || queue.pop_if_at_or_before(horizon));
-        let Some((now, popped_shard, ev)) = popped else {
+        let Some((now, popped_shard, ev)) = queue.pop_if_at_or_before(horizon) else {
             break;
         };
         events_processed += 1;
         core.set_trace_now(now);
         match ev {
             Ev::Tick => {
-                let samples = core.timings.time(Phase::MobilityStep, || {
-                    model.step(&net, &lights, now, threads)
-                });
+                let samples = model.step(&net, &lights, now, threads);
                 // One batched pass over the delta stream: only vehicles that
                 // crossed a grid cell touch spatial-index buckets (identical
                 // mutation order to the old per-sample set_pos loop).
@@ -525,13 +489,11 @@ fn drive<L: LocationService>(
                     }
                 }
                 let fx = proto.on_move(&mut core, samples, now);
-                #[cfg(feature = "check")]
                 note_fx(&mut check, &fx);
                 apply(&mut queue, fx, &core.registry, &shard_of, 0);
                 // Per-tick protocol audit: location-table soundness against the
                 // registry's ground truth (plus the deliberate-corruption
                 // self-test when armed).
-                #[cfg(feature = "check")]
                 if let Some(cs) = check.as_mut() {
                     if let Some(at) = cs.setup.corrupt_at {
                         if !cs.corrupted && now >= at {
@@ -590,15 +552,12 @@ fn drive<L: LocationService>(
                     *slot += 1;
                 }
                 queue.set_origin(Some(current));
-                #[cfg(feature = "check")]
                 let pending = check
                     .as_mut()
                     .map(|cs| cs.oracle.pre_deliver(&transport, &core.counters));
-                // `handle_deliver_step` times itself under `Phase::RadioDelivery`;
-                // the at-most-one follow-up keeps this arm allocation-free.
+                // The at-most-one follow-up keeps this arm allocation-free.
                 let (arrived, more) = core.handle_deliver_step(to, transport);
                 // `post_deliver` ledgers the followup emissions itself.
-                #[cfg(feature = "check")]
                 if let Some(cs) = check.as_mut() {
                     cs.oracle.post_deliver(
                         &core,
@@ -622,7 +581,6 @@ fn drive<L: LocationService>(
                 }
                 if let Some((class, payload)) = arrived {
                     let fx = proto.on_packet(&mut core, to, class, payload, now);
-                    #[cfg(feature = "check")]
                     note_fx(&mut check, &fx);
                     apply(&mut queue, fx, &core.registry, &shard_of, current);
                 }
@@ -633,14 +591,12 @@ fn drive<L: LocationService>(
                 // its effects originate from the shard it popped on.
                 queue.set_origin(Some(popped_shard));
                 let fx = proto.on_timer(&mut core, key, now);
-                #[cfg(feature = "check")]
                 note_fx(&mut check, &fx);
                 apply(&mut queue, fx, &core.registry, &shard_of, popped_shard);
                 queue.set_origin(None);
             }
             Ev::Query(src, dst) => {
                 let fx = proto.launch_query(&mut core, src, dst, now);
-                #[cfg(feature = "check")]
                 note_fx(&mut check, &fx);
                 apply(&mut queue, fx, &core.registry, &shard_of, 0);
             }
@@ -699,7 +655,7 @@ fn drive<L: LocationService>(
     }
 
     // Queue self-telemetry and the shard bookkeeping, snapshotted before the
-    // check-mode drain below can perturb the counters.
+    // oracle's drain below can perturb the counters.
     let queue_stats = queue.telemetry();
     let shard_counts: Vec<(u64, u64)> = queue
         .shard_stats()
@@ -710,8 +666,7 @@ fn drive<L: LocationService>(
     let barrier_epochs = queue.epochs();
     // End of run: packet conservation over the drained queue, then
     // trace/counter reconciliation if a complete trace rode along.
-    #[cfg(feature = "check")]
-    if let Some(mut cs) = check.take() {
+    if let Some(mut cs) = check {
         let mut leftover = [0u64; 4];
         while let Some((_, _, ev)) = queue.pop() {
             if let Ev::Deliver(_, transport) = ev {
@@ -748,7 +703,6 @@ fn drive<L: LocationService>(
         .map(|&(_, v)| v as u64)
         .unwrap_or(0);
     report.timeline = timeline;
-    report.phase_timings = core.timings.summary().into_iter().map(Into::into).collect();
     report.events_processed = events_processed;
     report.peak_queue_depth = peak_queue_depth;
     report.queue_resizes = queue_stats.resizes;
@@ -959,7 +913,6 @@ mod tests {
 
     /// Armed oracle on a healthy scenario: no violation, and the oracle must
     /// not perturb the simulation (identical counters to a plain run).
-    #[cfg(feature = "check")]
     #[test]
     fn checked_run_is_clean_and_matches_plain_counters() {
         for protocol in [Protocol::Hlsrg, Protocol::Rlsmp] {
@@ -978,7 +931,6 @@ mod tests {
 
     /// The corruption hook flips exactly the invariant it is supposed to flip,
     /// at the runner seam (the full fuzzer-side demo lives in `fuzz::tests`).
-    #[cfg(feature = "check")]
     #[test]
     fn corruption_hook_trips_table_soundness() {
         for protocol in [Protocol::Hlsrg, Protocol::Rlsmp] {

@@ -10,8 +10,8 @@
 //! * **Metrics registry** ([`MetricsRegistry`]): per-node and per-grid-level
 //!   aggregates (counters, Welford latency stats, histograms) derived from the
 //!   same event stream, reusing `vanet_des::stats`.
-//! * **Timing spans** ([`PhaseTimings`]): wall-clock accounting of DES hot
-//!   phases, compiled in only under the `trace` cargo feature.
+//! * **Telemetry** ([`TelemetrySampler`]): a sim-time-scheduled series of
+//!   queue, traffic and per-region load snapshots, exportable as JSONL.
 //!
 //! The network layer holds an `Option<Box<Tracer>>`; when it is `None` the only
 //! cost per potential event is one pointer test. Events are emitted at exactly
@@ -23,7 +23,6 @@
 pub mod event;
 pub mod registry;
 pub mod ring;
-pub mod span;
 pub mod telemetry;
 
 pub use event::{
@@ -31,7 +30,6 @@ pub use event::{
 };
 pub use registry::{LevelSummary, MetricsRegistry, NodeMetrics};
 pub use ring::EventRing;
-pub use span::{Phase, PhaseSummary, PhaseTimings, PHASE_COUNT};
 pub use telemetry::{
     parse_telemetry_jsonl, telemetry_to_jsonl, QuantileWindow, TelemetrySample, TelemetrySampler,
     TelemetrySnapshot,

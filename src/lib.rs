@@ -20,7 +20,8 @@
 //! * [`scenario`] — experiment harness, metrics, and generators for every figure in
 //!   the paper's evaluation.
 //! * [`trace`] — structured event trace (JSONL), per-node/per-level metrics
-//!   registry, and feature-gated timing spans around the DES hot phases.
+//!   registry, and the sim-time telemetry sampler.
+//! * [`check`] — the runtime invariant oracle and the fuzz-case model.
 //!
 //! ## Quickstart
 //!
@@ -42,9 +43,6 @@ pub use vanet_roadnet as roadnet;
 
 pub use hlsrg as protocol;
 pub use rlsmp as baseline;
+pub use vanet_check as check;
 pub use vanet_scenario as scenario;
 pub use vanet_trace as trace;
-
-/// Runtime invariant oracle + fuzz-case model (only with the `check` feature).
-#[cfg(feature = "check")]
-pub use vanet_check as check;

@@ -18,7 +18,7 @@ use hlsrg_suite::mobility::{LightConfig, MobilityConfig, MobilityModel, Ns2Trace
 use hlsrg_suite::roadnet::{generate_grid, to_map_text, GridMapSpec};
 use hlsrg_suite::scenario::{
     fig3_2, fig3_345, replicate_averaged, run_simulation, run_simulation_instrumented,
-    BenchOptions, BenchScale, FigureScale, Protocol, RunReport, SimConfig,
+    AllocCounter, BenchOptions, BenchScale, FigureScale, Protocol, RunReport, SimConfig,
 };
 use hlsrg_suite::trace::{cause_name, registry_from_events, TraceEvent};
 use rand::rngs::SmallRng;
@@ -26,22 +26,26 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-/// A pass-through global allocator that counts every allocation, feeding the
-/// `bench` subcommand's allocations-per-event estimate. Only installed in
-/// `bench-alloc` builds — the per-allocation atomic skews wall-clock numbers.
-#[cfg(feature = "bench-alloc")]
+/// A pass-through global allocator that counts allocations while armed,
+/// feeding the `bench` subcommand's allocations-per-event estimate. `bench`
+/// arms it only around the repetition it counts; unarmed, every allocation
+/// pays one relaxed load.
 mod counting_alloc {
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    pub static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+    static ARMED: AtomicBool = AtomicBool::new(false);
+    static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
     pub struct CountingAlloc;
 
-    // SAFETY: defers every operation to `System`; only bookkeeping is added.
+    // SAFETY: defers every operation to `System` unchanged; the only addition
+    // is a statistic kept in atomics, which never allocate.
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            if ARMED.load(Ordering::Relaxed) {
+                ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            }
             System.alloc(layout)
         }
 
@@ -50,13 +54,19 @@ mod counting_alloc {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            if ARMED.load(Ordering::Relaxed) {
+                ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            }
             System.realloc(ptr, layout, new_size)
         }
     }
 
     #[global_allocator]
     static GLOBAL: CountingAlloc = CountingAlloc;
+
+    pub fn arm(on: bool) {
+        ARMED.store(on, Ordering::Relaxed);
+    }
 
     pub fn count() -> u64 {
         ALLOCATIONS.load(Ordering::Relaxed)
@@ -129,8 +139,8 @@ commands:
            from `run --trace-out`    --query ID (one query's timeline)
   fuzz     seeded scenario fuzzing   --runs N  --seed S  --out FILE (corpus)
            with the invariant        --replay FILE (re-run a corpus)
-           oracle armed (needs the   --corrupt (arm the table-corruption
-           `check` cargo feature)    self-test mutation)
+           oracle armed              --corrupt (arm the table-corruption
+                                     self-test mutation)
                                      --pool N|auto (fan cases over the job pool)
   bench    time the canonical        --scale smoke|paper|large (or
            scenarios and append to   HLSRG_BENCH_SCALE); large = 10k vehicles,
@@ -184,17 +194,27 @@ fn get_opt<T: std::str::FromStr>(flags: &Flags, name: &str) -> Option<T> {
     let v = flags.get(name)?;
     match v.parse() {
         Ok(x) => Some(x),
-        Err(_) => {
-            eprintln!("error: --{name}: invalid value {v:?}");
-            std::process::exit(1)
-        }
+        Err(_) => invalid(
+            flags,
+            name,
+            &format!("expected {}", std::any::type_name::<T>()),
+        ),
     }
+}
+
+/// Reports the value of `--name` as invalid (`why` says what was wanted) and
+/// exits nonzero.
+fn invalid(flags: &Flags, name: &str, why: &str) -> ! {
+    let v = flags.get(name).map_or("", String::as_str);
+    eprintln!("error: --{name}: invalid value {v:?} ({why})");
+    std::process::exit(1)
 }
 
 fn protocol_of(flags: &Flags) -> Protocol {
     match flags.get("protocol").map(String::as_str) {
+        None | Some("hlsrg") | Some("HLSRG") => Protocol::Hlsrg,
         Some("rlsmp") | Some("RLSMP") => Protocol::Rlsmp,
-        _ => Protocol::Hlsrg,
+        Some(_) => invalid(flags, "protocol", "expected hlsrg or rlsmp"),
     }
 }
 
@@ -204,12 +224,25 @@ fn config_of(flags: &Flags) -> SimConfig {
     let seed = get(flags, "seed", 42u64);
     let mut cfg = SimConfig::paper_fig3_2(map_size, vehicles, seed);
     let duration = get(flags, "duration", cfg.duration.as_secs_f64());
+    if !(duration.is_finite() && duration >= 0.0) {
+        invalid(flags, "duration", "expected a finite number of seconds");
+    }
     cfg.duration = SimDuration::from_secs_f64(duration);
     if cfg.warmup + SimDuration::from_secs(10) > cfg.duration {
         cfg.warmup = cfg.duration.mul_f64(0.3);
     }
-    cfg.shards = get(flags, "shards", 1usize).max(1);
-    cfg.threads = get(flags, "threads", cfg.shards).max(1);
+    cfg.shards = get(flags, "shards", 1usize);
+    cfg.threads = get(flags, "threads", cfg.shards);
+    if let Err(e) = cfg.check() {
+        // Every field `check` can reject here came from a flag: the map from
+        // `--map-size`, any other from the flag of the same name.
+        let flag = if e.field == "map" {
+            "map-size"
+        } else {
+            e.field
+        };
+        invalid(flags, flag, e.reason);
+    }
     cfg
 }
 
@@ -331,12 +364,6 @@ fn cmd_run(flags: &Flags) -> ExitCode {
             String::new()
         };
         eprintln!("wrote {} trace events to {path}{dropped}", tracer.len());
-    }
-    for p in &r.phase_timings {
-        eprintln!(
-            "  phase {:<14} {:>9} calls  mean {:>8.0} ns  total {:>8.1} ms",
-            p.phase, p.count, p.mean_ns, p.total_ms
-        );
     }
     ExitCode::SUCCESS
 }
@@ -595,7 +622,6 @@ fn cmd_trace(flags: &Flags) -> ExitCode {
 /// Each case is a random-but-reproducible scenario config drawn from
 /// `--seed`; failures are shrunk to minimal reproducers and written (with
 /// the original case) to a `--out` JSONL corpus that `--replay` re-runs.
-#[cfg(feature = "check")]
 fn cmd_fuzz(flags: &Flags) -> ExitCode {
     use hlsrg_suite::scenario::fuzz::{corpus_of, fuzz_campaign, fuzz_campaign_pooled, replay};
 
@@ -684,15 +710,6 @@ fn cmd_fuzz(flags: &Flags) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-#[cfg(not(feature = "check"))]
-fn cmd_fuzz(_flags: &Flags) -> ExitCode {
-    eprintln!(
-        "error: `fuzz` needs the invariant oracle, which is compiled out by default.\n\
-         Rebuild with:  cargo build --release --features check"
-    );
-    ExitCode::FAILURE
 }
 
 /// `bench` — time the canonical scenarios and append to the perf trajectory.
@@ -884,15 +901,15 @@ fn cmd_bench(flags: &Flags) -> ExitCode {
     };
     let mut opts = BenchOptions {
         scale,
+        alloc_counter: Some(AllocCounter {
+            arm: counting_alloc::arm,
+            count: counting_alloc::count,
+        }),
         ..BenchOptions::default()
     };
     opts.reps = get(flags, "reps", opts.reps).max(1);
     opts.threads = get(flags, "threads", opts.threads).max(1);
     opts.only = flags.get("only").cloned();
-    #[cfg(feature = "bench-alloc")]
-    {
-        opts.alloc_count = Some(counting_alloc::count);
-    }
     let label = flags.get("label").cloned().unwrap_or_else(|| "dev".into());
     let out = flags
         .get("out")

@@ -1,6 +1,7 @@
 //! End-to-end tests for the observability surface of the `hlsrg` binary:
-//! `inspect` diagnostics on damaged traces, `run --telemetry-out` determinism,
-//! the `report` dashboard, and the `bench --compare` regression gate.
+//! `inspect` diagnostics on damaged traces, flag validation, the `fuzz`
+//! oracle self-test, `run --telemetry-out` determinism, the `report`
+//! dashboard, and the `bench --compare` regression gate.
 
 use hlsrg_suite::scenario::{
     append_trajectory, run_simulation_instrumented, run_simulation_traced, BenchRecord, Protocol,
@@ -86,19 +87,49 @@ fn unparsable_flag_values_fail_naming_the_flag() {
     for (args, flag) in [
         (vec!["run", "--threads", "abc"], "--threads"),
         (vec!["run", "--vehicles", "-3"], "--vehicles"),
+        (vec!["run", "--vehicles", "0"], "--vehicles"),
+        (vec!["run", "--duration", "0"], "--duration"),
+        (vec!["run", "--duration", "-5"], "--duration"),
+        (vec!["run", "--map-size", "0"], "--map-size"),
+        (vec!["run", "--map-size", "-100"], "--map-size"),
+        (vec!["run", "--protocol", "foo"], "--protocol"),
+        (vec!["run", "--shards", "0"], "--shards"),
+        (vec!["run", "--threads", "0"], "--threads"),
         (
             vec!["inspect", trace.to_str().unwrap(), "--top", "abc"],
             "--top",
         ),
     ] {
         let out = run(&args);
-        assert!(!out.status.success(), "{args:?} must fail");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
         let err = stderr_of(&out);
         assert!(
             err.contains(&format!("{flag}: invalid value")),
             "{args:?}: stderr should name {flag}, got:\n{err}"
         );
     }
+}
+
+#[test]
+fn fuzz_runs_clean_and_catches_corruption() {
+    let out = run(&["fuzz", "--runs", "2", "--seed", "1"]);
+    assert!(
+        out.status.success(),
+        "clean fuzz failed:\n{}",
+        stderr_of(&out)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("0 failing"), "got:\n{stdout}");
+
+    // The self-test: armed corruption must be caught, which is a success.
+    let out = run(&["fuzz", "--runs", "2", "--corrupt"]);
+    assert!(
+        out.status.success(),
+        "corruption missed:\n{}",
+        stderr_of(&out)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("table-soundness"), "got:\n{stdout}");
 }
 
 #[test]

@@ -6,11 +6,11 @@
 //! tests pin that contract by running every scenario at shards ∈ {1, 2, 4, 8}
 //! and comparing the complete observable surface, with only the fields that
 //! are shard-local by construction (per-shard counters, kernel
-//! self-diagnostics, wall-clock timings) excluded.
+//! self-diagnostics) excluded.
 
 use hlsrg_suite::scenario::{
-    run_simulation, run_simulation_instrumented, run_simulation_traced, Protocol, RunReport,
-    SimConfig,
+    run_simulation, run_simulation_checked, run_simulation_instrumented, run_simulation_traced,
+    CheckSetup, Protocol, RunReport, SimConfig,
 };
 use vanet_des::SimDuration;
 
@@ -49,8 +49,7 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 /// `shard_counts` (one row per shard) and `boundary_events` (counts handoffs
 /// that do not exist at one shard). Left out as kernel self-diagnostics:
 /// `queue_resizes`, `queue_max_scan` (compared on their own below — every
-/// shard's events share one queue, so they are shard-invariant too). Excluded
-/// as wall-clock: `phase_timings`.
+/// shard's events share one queue, so they are shard-invariant too).
 fn fingerprint(r: &RunReport) -> String {
     format!(
         "protocol={} seed={} vehicles={} map={:?} updates={} update_radio={} \
@@ -284,10 +283,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// With the oracle armed, sharded runs stay violation-free (including the
 /// shard-handoff conservation audit) and report identical counters.
-#[cfg(feature = "check")]
 #[test]
 fn checked_sharded_runs_are_clean_and_identical() {
-    use hlsrg_suite::scenario::{run_simulation_checked, CheckSetup};
     for protocol in [Protocol::Hlsrg, Protocol::Rlsmp] {
         let base_cfg = multi_l3_cfg(42);
         let (base, v) = run_simulation_checked(&base_cfg, protocol, &CheckSetup::default());
@@ -311,10 +308,8 @@ fn checked_sharded_runs_are_clean_and_identical() {
 
 /// The invariant oracle also stays silent under the thread matrix, and the
 /// checked counters match the single-shard run byte for byte.
-#[cfg(feature = "check")]
 #[test]
 fn checked_threaded_runs_are_clean_and_identical() {
-    use hlsrg_suite::scenario::{run_simulation_checked, CheckSetup};
     let base_cfg = multi_l3_cfg(42);
     let (base, v) = run_simulation_checked(&base_cfg, Protocol::Hlsrg, &CheckSetup::default());
     assert!(v.is_none(), "oracle flagged the single-shard run: {v:?}");
