@@ -21,7 +21,7 @@ fn bench_event_queue(c: &mut Criterion) {
             .map(|_| rng.random_range(0..1_000_000))
             .collect();
         b.iter(|| {
-            let mut q = EventQueue::with_capacity(10_000);
+            let mut q = EventQueue::new();
             for &t in &times {
                 q.schedule_at(SimTime::from_micros(t), t);
             }
@@ -55,7 +55,7 @@ fn bench_event_queue_hold(c: &mut Criterion) {
         // HOLD_OPS events and reinserts one per pop, so the depth — and with
         // it the per-operation cost being measured — stays constant while
         // the one-time fill stays out of the timing.
-        let mut radix = EventQueue::with_capacity(depth);
+        let mut radix = EventQueue::new();
         let mut heap = HeapQueue::with_capacity(depth);
         for &t in &initial {
             radix.schedule_at(SimTime::from_micros(t), t);

@@ -26,6 +26,7 @@ pub use oracle::{class_ix, Oracle, PendingDeliver, Violation};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use vanet_des::SimDuration;
     use vanet_net::counters::PacketClass;
     use vanet_net::{Emission, NetCounters, NodeId, Transport};
@@ -34,7 +35,10 @@ mod tests {
         Emission {
             delay: SimDuration::from_millis(1),
             to: NodeId(0),
-            transport: Transport::Local { class, payload: 0 },
+            transport: Transport::Local {
+                class,
+                payload: Arc::new(0),
+            },
         }
     }
 

@@ -79,10 +79,7 @@ pub struct Oracle {
 
 /// Dense index of a transport's accounting class.
 pub fn class_ix<P>(t: &Transport<P>) -> usize {
-    match t {
-        Transport::Local { class, .. } => class.index(),
-        Transport::Gpsr { class, .. } => class.index(),
-    }
+    t.class().index()
 }
 
 impl Oracle {
@@ -122,15 +119,11 @@ impl Oracle {
 
     /// Called right before a popped `Deliver` event enters the network core.
     pub fn pre_deliver<P>(&mut self, t: &Transport<P>, counters: &NetCounters) -> PendingDeliver {
-        let ix = class_ix(t);
-        self.consumed[ix] += 1;
-        let (class, gpsr) = match t {
-            Transport::Local { class, .. } => (*class, None),
-            Transport::Gpsr { header, class, .. } => (*class, Some(*header)),
-        };
+        let class = t.class();
+        self.consumed[class.index()] += 1;
         PendingDeliver {
             class,
-            gpsr,
+            gpsr: t.gpsr_header().copied(),
             drops_before: counters.drop_count(class),
         }
     }
@@ -180,7 +173,7 @@ impl Oracle {
         // GPSR emission, or one routing drop.
         let gpsr_followups: Vec<&Emission<P>> = followups
             .iter()
-            .filter(|e| matches!(e.transport, Transport::Gpsr { .. }))
+            .filter(|e| matches!(e.transport, Transport::Gpsr(_)))
             .collect();
         let outcomes = u32::from(arrived) + gpsr_followups.len() as u32 + u32::from(drop_delta > 0);
         if outcomes != 1 || drop_delta > 1 || followups.len() != gpsr_followups.len() {
@@ -211,7 +204,7 @@ impl Oracle {
         // Forwarded: per-hop GPSR sanity.
         self.forwards[ix] += 1;
         let fwd = gpsr_followups[0];
-        let Transport::Gpsr { header: after, .. } = &fwd.transport else {
+        let Some(after) = fwd.transport.gpsr_header() else {
             unreachable!("filtered to gpsr transports");
         };
         if after.ttl >= before.ttl {

@@ -12,11 +12,12 @@
 //! Path Problem", JACM 1990). Keys are unique, because every schedule draws a
 //! fresh sequence number, so the key order *is* the `(time, seq)` order.
 //!
-//! * **Payloads live once, in a slab**: a `Vec<Option<E>>` whose freed slots go
-//!   on a LIFO free list. A schedule writes the payload into a slot and a pop
-//!   takes it out; everything the heap moves around is a 24-byte
-//!   `(time, seq, slot)` entry, never the event itself (VANET payloads run to
-//!   ~170 bytes).
+//! * **Payloads live once, in a chunked slab**: fixed chunks of
+//!   [`CHUNK_SLOTS`] payloads each, whose freed slots go on a LIFO free list. A
+//!   schedule writes the payload into a slot and a pop takes it out;
+//!   everything the heap moves around is a 24-byte `(time, seq, slot)` entry,
+//!   never the event itself. The slab grows one chunk at a time and never
+//!   moves a payload, so it needs no pre-size.
 //! * **Buckets by the highest differing bit**: with `last` the key of the last
 //!   popped event, a key `k` lives in bucket `i` when bit `i` is the highest
 //!   bit in which `k` and `last` differ (bucket 0 also takes `k == last`, which
@@ -50,6 +51,15 @@ use crate::time::{SimDuration, SimTime};
 /// Radix buckets: one per bit of the 128-bit key.
 const BUCKETS: usize = 128;
 
+/// Payload slots per slab chunk. At the simulation runner's 32-byte slot a
+/// chunk is 64 KiB, under glibc's smallest mmap threshold (128 KiB), so no
+/// chunk is mapped on its own. A slab grown as one 10–20 MB block would be,
+/// and freeing it would raise glibc's dynamic mmap threshold to its size for
+/// the rest of the process. The count is fixed, not derived from the slot
+/// size, so [`QueueTelemetry::resizes`] counts the same growths for every
+/// event type.
+pub const CHUNK_SLOTS: usize = 2048;
+
 /// One pending event in the radix heap: its key halves and the slab slot that
 /// holds its payload.
 #[derive(Debug, Clone, Copy)]
@@ -77,12 +87,12 @@ fn bucket_of(key: u128, last: u128) -> usize {
 /// Asks the CPU to start loading `value` into cache. A hint only: it never
 /// faults and changes no state, so results are the same with or without it.
 #[inline]
-fn prefetch<T>(value: &T) {
+pub fn prefetch<T: ?Sized>(value: &T) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         let p = (value as *const T).cast::<i8>();
-        let size = std::mem::size_of::<T>();
+        let size = std::mem::size_of_val(value);
         // One touch per 64-byte line, plus the last byte for a value that
         // straddles one more line than its size needs.
         for off in (0..size).step_by(64).chain([size.saturating_sub(1)]) {
@@ -101,7 +111,8 @@ fn prefetch<T>(value: &T) {
 pub struct QueueTelemetry {
     /// Largest number of pending events ever held.
     pub peak_depth: usize,
-    /// Times the payload slab grew its allocation.
+    /// Times the payload slab grew: each growth adds one chunk of
+    /// [`CHUNK_SLOTS`] slots and moves no payload.
     pub resizes: u64,
     /// Most keys any single pop redistributed to lower buckets.
     pub max_pop_scan: u64,
@@ -122,8 +133,14 @@ pub struct EventQueue<E> {
     /// Key of the last popped event (0 before the first pop); every pending
     /// key is at least this.
     last: u128,
-    /// Payload storage, indexed by [`Entry::slot`]; `None` marks a free slot.
-    slab: Vec<Option<E>>,
+    /// Payload storage: slot `s` (an [`Entry::slot`]) is entry
+    /// `s % CHUNK_SLOTS` of chunk `s / CHUNK_SLOTS`; `None` marks a free slot.
+    /// Every chunk is allocated with room for exactly `CHUNK_SLOTS` payloads
+    /// and filled in order, so it never reallocates.
+    chunks: Vec<Vec<Option<E>>>,
+    /// Slots handed out since construction or the last reset: the next fresh
+    /// slot when the free list is empty.
+    filled: usize,
     /// Free slab slots, reused last-freed first.
     free: Vec<u32>,
     /// Bucket and index of the earliest pending entry, kept current by every
@@ -143,19 +160,18 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with the clock at t = 0.
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
+    /// Bytes one pending event occupies in the payload slab.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Option<E>>();
 
-    /// Creates an empty queue whose slab holds `cap` pending events before it
-    /// first grows.
-    pub fn with_capacity(cap: usize) -> Self {
+    /// Creates an empty queue with the clock at t = 0. It allocates nothing
+    /// until the first schedule.
+    pub fn new() -> Self {
         EventQueue {
             buckets: std::array::from_fn(|_| Vec::new()),
             occupied: 0,
             last: 0,
-            slab: Vec::with_capacity(cap),
+            chunks: Vec::new(),
+            filled: 0,
             free: Vec::new(),
             head: (0, 0),
             len: 0,
@@ -202,7 +218,40 @@ impl<E> EventQueue<E> {
     /// Payload slots currently allocated — what [`EventQueue::reset`]
     /// preserves for reuse (diagnostics and tests).
     pub fn storage_capacity(&self) -> usize {
-        self.slab.capacity()
+        self.chunks.len() * CHUNK_SLOTS
+    }
+
+    /// The payload slot `slot`.
+    #[inline]
+    fn slot(&self, slot: u32) -> &Option<E> {
+        let s = slot as usize;
+        &self.chunks[s / CHUNK_SLOTS][s % CHUNK_SLOTS]
+    }
+
+    /// The payload slot `slot`, mutably.
+    #[inline]
+    fn slot_mut(&mut self, slot: u32) -> &mut Option<E> {
+        let s = slot as usize;
+        &mut self.chunks[s / CHUNK_SLOTS][s % CHUNK_SLOTS]
+    }
+
+    /// Stores `event` in a free slot — the last freed, else the next fresh
+    /// one, adding a chunk when the last is full — and returns the slot.
+    #[inline]
+    fn store(&mut self, event: E) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            *self.slot_mut(slot) = Some(event);
+            return slot;
+        }
+        let slot = u32::try_from(self.filled).expect("over 2^32 pending events");
+        let chunk = self.filled / CHUNK_SLOTS;
+        if chunk == self.chunks.len() {
+            self.chunks.push(Vec::with_capacity(CHUNK_SLOTS));
+            self.resizes += 1;
+        }
+        self.chunks[chunk].push(Some(event));
+        self.filled += 1;
+        slot
     }
 
     /// Schedules `event` to fire at absolute time `at`.
@@ -218,24 +267,10 @@ impl<E> EventQueue<E> {
             self.now(),
             at
         );
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(event);
-                slot
-            }
-            None => {
-                if self.slab.len() == self.slab.capacity() {
-                    self.resizes += 1;
-                }
-                let slot = u32::try_from(self.slab.len()).expect("over 2^32 pending events");
-                self.slab.push(Some(event));
-                slot
-            }
-        };
         let entry = Entry {
             time: at.as_micros(),
             seq: self.next_seq,
-            slot,
+            slot: self.store(event),
         };
         self.next_seq += 1;
         let key = entry.key();
@@ -330,7 +365,8 @@ impl<E> EventQueue<E> {
         self.last = head.key();
         self.len -= 1;
         self.free.push(head.slot);
-        let event = self.slab[head.slot as usize]
+        let event = self
+            .slot_mut(head.slot)
             .take()
             .expect("queued entry points at a free slot");
         // Bucket 0 holds at most `last` and `last ^ 1`, which stay in bucket 0
@@ -362,7 +398,7 @@ impl<E> EventQueue<E> {
         // Start loading the next payload now, so the miss overlaps with the
         // caller's handling of this event rather than stalling the next pop.
         if let Some(e) = self.head_entry() {
-            prefetch(&self.slab[e.slot as usize]);
+            prefetch(self.slot(e.slot));
         }
         (SimTime::from_micros(head.time), event)
     }
@@ -389,15 +425,19 @@ impl<E> EventQueue<E> {
     }
 
     /// Drops every pending event and resets the clock to t = 0, **keeping the
-    /// allocated storage**: the slab's and every bucket's capacity survive, so
-    /// a pooled worker reusing one queue across seeds never re-grows it.
+    /// allocated storage**: the slab's chunks and every bucket's capacity
+    /// survive, so a pooled worker reusing one queue across seeds never
+    /// re-grows it.
     pub fn reset(&mut self) {
         for b in &mut self.buckets {
             b.clear();
         }
         self.occupied = 0;
         self.last = 0;
-        self.slab.clear();
+        for c in &mut self.chunks {
+            c.clear();
+        }
+        self.filled = 0;
         self.free.clear();
         self.head = (0, 0);
         self.len = 0;
@@ -542,17 +582,18 @@ mod tests {
 
     #[test]
     fn a_full_instant_burst_stays_fifo_through_resizes() {
-        // 10k events at one instant share every time bit, so only their
-        // sequence numbers spread them over buckets; slab growth and the
-        // redistributions must never disturb the FIFO order.
+        // Three chunks of events at one instant share every time bit, so
+        // only their sequence numbers spread them over buckets; slab growth
+        // and the redistributions must never disturb the FIFO order.
+        let n = 3 * CHUNK_SLOTS as u32;
         let mut q = EventQueue::new();
         let t = SimTime::from_millis(5);
-        for i in 0..10_000u32 {
+        for i in 0..n {
             q.schedule_at(t, i);
         }
-        assert!(q.telemetry().resizes > 0, "growth resizes expected");
+        assert_eq!(q.telemetry().resizes, 3, "one growth per chunk");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, (0..10_000).collect::<Vec<_>>());
+        assert_eq!(order, (0..n).collect::<Vec<_>>());
     }
 
     #[test]
@@ -713,14 +754,18 @@ mod tests {
     fn reset_keeps_allocated_storage() {
         // The pooled-replicate contract: a drained-and-reset queue re-runs the
         // same workload without growing again.
-        let mut q = EventQueue::with_capacity(64);
-        for i in 0..5_000u64 {
+        let n = 2 * CHUNK_SLOTS as u64 + 1;
+        let mut q = EventQueue::new();
+        for i in 0..n {
             q.schedule_at(SimTime::from_micros(i * 37 % 100_000), i);
         }
         let grown = q.telemetry();
         let cap = q.storage_capacity();
-        assert!(grown.resizes > 0, "growth expected past the initial slab");
-        assert!(cap >= 5_000, "the slab holds capacity for what was queued");
+        assert_eq!(grown.resizes, 3, "two chunks and one slot need three");
+        assert!(
+            cap >= n as usize,
+            "the slab holds capacity for what was queued"
+        );
         while q.pop().is_some() {}
         q.reset();
         let after = q.telemetry();
@@ -731,7 +776,7 @@ mod tests {
             "per-run telemetry is cleared"
         );
         // The re-run schedules the same load without a single resize.
-        for i in 0..5_000u64 {
+        for i in 0..n {
             q.schedule_at(SimTime::from_micros(i * 37 % 100_000), i);
         }
         assert_eq!(q.telemetry().resizes, 0, "reset queue re-grew its storage");
@@ -740,8 +785,11 @@ mod tests {
 
     #[test]
     fn freed_slots_are_reused_before_the_slab_grows() {
-        let mut q = EventQueue::with_capacity(4);
-        for round in 0..1_000u64 {
+        // Ten chunks' worth of schedules at a steady depth of 4: only reuse
+        // keeps them all in the first chunk.
+        let mut q = EventQueue::new();
+        let rounds = 10 * CHUNK_SLOTS as u64 / 4;
+        for round in 0..rounds {
             for k in 0..4 {
                 q.schedule_after(SimDuration::from_micros(k), round * 4 + k);
             }
@@ -751,10 +799,32 @@ mod tests {
         }
         assert_eq!(
             q.telemetry().resizes,
-            0,
-            "a steady depth of 4 fits the pre-size"
+            1,
+            "a steady depth of 4 fits one chunk"
         );
-        assert_eq!(q.storage_capacity(), 4);
+        assert_eq!(q.storage_capacity(), CHUNK_SLOTS);
+    }
+
+    #[test]
+    fn payloads_survive_chunk_boundaries_in_order() {
+        // Five chunks of 32-byte payloads over seven instants: most pops
+        // read a slot in another chunk than the last.
+        let n = 5 * CHUNK_SLOTS as u32;
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(1);
+        for i in 0..n {
+            let at = t + SimDuration::from_micros((i % 7) as u64);
+            q.schedule_at(at, (i, [i as u8; 28]));
+        }
+        assert_eq!(q.telemetry().resizes, 5);
+        let mut seen = Vec::new();
+        while let Some((_, (i, body))) = q.pop() {
+            assert!(body.iter().all(|&b| b == i as u8), "payload {i} corrupted");
+            seen.push(i);
+        }
+        let mut want: Vec<u32> = (0..n).collect();
+        want.sort_by_key(|&i| i % 7);
+        assert_eq!(seen, want);
     }
 
     #[test]

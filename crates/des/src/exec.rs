@@ -40,37 +40,31 @@ pub struct EpochExecutor<E> {
 }
 
 impl<E> EpochExecutor<E> {
-    /// Creates an executor with a default-sized queue.
-    pub fn new(shards: usize, lookahead: SimDuration) -> Result<Self, ShardConfigError> {
-        Self::with_capacity(shards, lookahead, 0)
-    }
+    /// Bytes one pending event occupies in the queue's payload slab.
+    pub const SLOT_BYTES: usize = EventQueue::<(usize, E)>::SLOT_BYTES;
 
-    /// Creates an executor whose queue holds `cap` pending events before its
-    /// payload slab first grows.
-    pub fn with_capacity(
-        shards: usize,
-        lookahead: SimDuration,
-        cap: usize,
-    ) -> Result<Self, ShardConfigError> {
+    /// Creates an executor over `shards` shards. Its queue allocates nothing
+    /// until the first schedule and then grows in fixed chunks.
+    pub fn new(shards: usize, lookahead: SimDuration) -> Result<Self, ShardConfigError> {
         checked_shards(shards, lookahead)?;
         Ok(EpochExecutor {
             ledger: SyncLedger::new(shards, lookahead),
-            queue: EventQueue::with_capacity(cap),
+            queue: EventQueue::new(),
         })
     }
 
-    /// Creates an executor over `caps.len()` shards, pre-sized for the sum of
-    /// `caps` pending events. The per-shard split, `_threads` and `_horizon`
-    /// are ignored: all shards share one queue, the executor always runs on
-    /// the calling thread, and the queue needs no time calibration. The
-    /// signature stays so the `hlsrg-bench` traced run keeps compiling.
+    /// [`new`](Self::new) over `caps.len()` shards. The capacities,
+    /// `_threads` and `_horizon` are ignored: the queue's slab grows in fixed
+    /// chunks and has nothing to pre-size, the executor always runs on the
+    /// calling thread, and the queue needs no time calibration. The signature
+    /// stays so the `hlsrg-bench` traced run keeps compiling.
     pub fn with_shard_capacities_and_horizon(
         _threads: usize,
         lookahead: SimDuration,
         caps: &[usize],
         _horizon: SimDuration,
     ) -> Result<Self, ShardConfigError> {
-        Self::with_capacity(caps.len(), lookahead, caps.iter().sum())
+        Self::new(caps.len(), lookahead)
     }
 
     /// Number of shards.
@@ -476,8 +470,8 @@ mod tests {
     #[test]
     fn telemetry_aggregates_across_shards() {
         // One queue holds every shard's events, so the telemetry is the same
-        // at any shard count: the peak is the total in flight, and the caps
-        // of all shards add up to one pre-size.
+        // at any shard count: the peak is the total in flight, and per-shard
+        // capacities change nothing (the slab grows in chunks regardless).
         let run = |ex: &mut EpochExecutor<u32>| {
             let shards = ex.num_shards();
             for i in 0..1_000u32 {
@@ -490,20 +484,16 @@ mod tests {
         let four = run(&mut EpochExecutor::new(4, LA).unwrap());
         assert_eq!(four, one);
         assert_eq!(four.peak_depth, 1_000);
-        assert!(four.resizes > 0, "an unsized slab grows");
+        assert_eq!(four.resizes, 1, "1,000 events fit one chunk");
         assert!(four.max_pop_scan >= 1);
-        let sized = run(&mut EpochExecutor::with_shard_capacities_and_horizon(
+        let capped = run(&mut EpochExecutor::with_shard_capacities_and_horizon(
             1,
             LA,
             &[250; 4],
             SimDuration::from_secs(1),
         )
         .unwrap());
-        assert_eq!(sized.resizes, 0, "four caps of 250 pre-size 1,000 slots");
-        assert_eq!(
-            (sized.peak_depth, sized.max_pop_scan),
-            (1_000, four.max_pop_scan)
-        );
+        assert_eq!(capped, four, "capacities do not change the queue");
     }
 
     #[test]

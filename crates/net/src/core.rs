@@ -19,32 +19,70 @@ use crate::node::{NodeId, NodeRegistry};
 use crate::radio::RadioConfig;
 use crate::wired::WiredNetwork;
 use rand::rngs::SmallRng;
+use std::sync::Arc;
 use vanet_des::{SimDuration, SimTime};
 use vanet_geo::{BBox, Point, Vec2};
 use vanet_roadnet::RsuId;
 use vanet_trace::{TraceEvent, Tracer};
 
-/// In-flight packet state carried by a scheduled delivery.
+/// In-flight packet state carried by a scheduled delivery: a pointer to the
+/// packet body, never the body itself, so a queued delivery stays small
+/// whatever the protocol's payload weighs.
 #[derive(Debug, Clone)]
 pub enum Transport<P> {
     /// Final-hop delivery: hand `payload` to the protocol at the recipient.
     Local {
         /// Accounting class.
         class: PacketClass,
-        /// Protocol payload.
-        payload: P,
+        /// Protocol payload, shared by every receiver of one transmission.
+        payload: Arc<P>,
     },
-    /// A GPSR packet in flight: the recipient must route it further (or accept it).
-    Gpsr {
-        /// Routing header.
-        header: GpsrHeader,
-        /// Accounting class.
-        class: PacketClass,
-        /// Packet size in bytes (drives per-hop delay).
-        size: usize,
-        /// Protocol payload.
-        payload: P,
-    },
+    /// A GPSR packet in flight: the recipient must route it further (or
+    /// accept it). One box per packet, from origination to arrival.
+    Gpsr(Box<GpsrPacket<P>>),
+}
+
+impl<P> Transport<P> {
+    /// The packet's accounting class.
+    #[inline]
+    pub fn class(&self) -> PacketClass {
+        match self {
+            Transport::Local { class, .. } => *class,
+            Transport::Gpsr(pkt) => pkt.class,
+        }
+    }
+
+    /// Starts loading the packet body into cache: a hint for a caller with
+    /// other work to do before it hands the packet to the core.
+    #[inline]
+    pub fn prefetch(&self) {
+        match self {
+            Transport::Local { payload, .. } => vanet_des::prefetch(&**payload),
+            Transport::Gpsr(pkt) => vanet_des::prefetch(&**pkt),
+        }
+    }
+
+    /// The routing header of a GPSR packet; `None` for a final-hop delivery.
+    #[inline]
+    pub fn gpsr_header(&self) -> Option<&GpsrHeader> {
+        match self {
+            Transport::Local { .. } => None,
+            Transport::Gpsr(pkt) => Some(&pkt.header),
+        }
+    }
+}
+
+/// A GPSR packet: its header is rewritten in place at every hop.
+#[derive(Debug, Clone)]
+pub struct GpsrPacket<P> {
+    /// Routing header.
+    pub header: GpsrHeader,
+    /// Accounting class.
+    pub class: PacketClass,
+    /// Packet size in bytes (drives per-hop delay).
+    pub size: usize,
+    /// Protocol payload.
+    pub payload: P,
 }
 
 /// A scheduled future delivery.
@@ -62,7 +100,7 @@ pub struct Emission<P> {
 /// path never allocates.
 enum Routed<P> {
     /// The packet is for the node it sits at: hand the payload up.
-    Arrived { class: PacketClass, payload: P },
+    Arrived(Box<GpsrPacket<P>>),
     /// One forwarding emission toward the next hop.
     Forward(Emission<P>),
     /// Dropped (loss, TTL, isolation, or no progress) — already counted.
@@ -150,7 +188,7 @@ impl NetworkCore {
     /// One-hop broadcast from `from`: every node in range draws reception.
     ///
     /// Costs exactly one transmission regardless of audience (it's a broadcast).
-    pub fn broadcast_onehop<P: Clone>(
+    pub fn broadcast_onehop<P>(
         &mut self,
         from: NodeId,
         class: PacketClass,
@@ -172,6 +210,7 @@ impl NetworkCore {
             n: 1,
         });
         let from_pos = self.registry.pos(from);
+        let payload = Arc::new(payload);
         let mut out = Vec::new();
         // Take the scratch buffer so iterating it doesn't hold a borrow of self.
         let mut neighbors = std::mem::take(&mut self.neighbor_scratch);
@@ -188,7 +227,7 @@ impl NetworkCore {
                     to: n,
                     transport: Transport::Local {
                         class,
-                        payload: payload.clone(),
+                        payload: Arc::clone(&payload),
                     },
                 });
             }
@@ -213,12 +252,20 @@ impl NetworkCore {
             node: from.0,
             class: class.index() as u8,
         });
-        let header = GpsrHeader::new(target, dst_pos);
-        match self.gpsr_process(from, header, class, size, payload) {
-            Routed::Arrived { class, payload } => vec![Emission {
+        let pkt = Box::new(GpsrPacket {
+            header: GpsrHeader::new(target, dst_pos),
+            class,
+            size,
+            payload,
+        });
+        match self.gpsr_process(from, pkt) {
+            Routed::Arrived(pkt) => vec![Emission {
                 delay: SimDuration::ZERO,
                 to: from,
-                transport: Transport::Local { class, payload },
+                transport: Transport::Local {
+                    class,
+                    payload: Arc::new(pkt.payload),
+                },
             }],
             Routed::Forward(e) => vec![e],
             Routed::Dropped => Vec::new(),
@@ -231,17 +278,11 @@ impl NetworkCore {
     /// blacklisted and routing re-runs — the link-layer-feedback reroute of the
     /// original GPSR. Up to [`Self::MAX_REROUTES`] alternatives are tried before
     /// the packet is declared lost.
-    fn gpsr_process<P>(
-        &mut self,
-        at: NodeId,
-        header: GpsrHeader,
-        class: PacketClass,
-        size: usize,
-        payload: P,
-    ) -> Routed<P> {
+    fn gpsr_process<P>(&mut self, at: NodeId, mut pkt: Box<GpsrPacket<P>>) -> Routed<P> {
         use crate::counters::DropKind;
         use crate::gpsr::{gpsr_step_scratch, GpsrFailure};
 
+        let (header, class, size) = (pkt.header, pkt.class, pkt.size);
         let mut dead_neighbors: Vec<NodeId> = Vec::new();
         loop {
             let step = gpsr_step_scratch(
@@ -254,7 +295,7 @@ impl NetworkCore {
             );
             match step {
                 GpsrStep::Arrived => {
-                    break Routed::Arrived { class, payload };
+                    break Routed::Arrived(pkt);
                 }
                 GpsrStep::Forward { next, header: fwd } => {
                     let (pa, pb) = (self.registry.pos(at), self.registry.pos(next));
@@ -315,15 +356,11 @@ impl NetworkCore {
                     for _ in 0..attempts {
                         delay += self.radio.hop_delay(size, &mut self.rng);
                     }
+                    pkt.header = fwd;
                     break Routed::Forward(Emission {
                         delay,
                         to: next,
-                        transport: Transport::Gpsr {
-                            header: fwd,
-                            class,
-                            size,
-                            payload,
-                        },
+                        transport: Transport::Gpsr(pkt),
                     });
                 }
                 GpsrStep::Fail(f) => {
@@ -385,13 +422,16 @@ impl NetworkCore {
         vec![Emission {
             delay,
             to: to_node,
-            transport: Transport::Local { class, payload },
+            transport: Transport::Local {
+                class,
+                payload: Arc::new(payload),
+            },
         }]
     }
 
     /// Directional geo-broadcast along a road corridor (HLSRG's target search).
     #[allow(clippy::too_many_arguments)]
-    pub fn geo_broadcast_directional<P: Clone>(
+    pub fn geo_broadcast_directional<P>(
         &mut self,
         from: NodeId,
         start: Point,
@@ -429,21 +469,11 @@ impl NetworkCore {
             class: class.index() as u8,
             n: res.transmissions,
         });
-        res.deliveries
-            .into_iter()
-            .map(|(n, delay)| Emission {
-                delay,
-                to: n,
-                transport: Transport::Local {
-                    class,
-                    payload: payload.clone(),
-                },
-            })
-            .collect()
+        Self::local_deliveries(class, payload, res.deliveries)
     }
 
     /// Region flood inside a grid cell.
-    pub fn geo_broadcast_region<P: Clone>(
+    pub fn geo_broadcast_region<P>(
         &mut self,
         from: NodeId,
         region: &BBox,
@@ -475,14 +505,25 @@ impl NetworkCore {
             class: class.index() as u8,
             n: res.transmissions,
         });
-        res.deliveries
+        Self::local_deliveries(class, payload, res.deliveries)
+    }
+
+    /// One final-hop emission per `(receiver, delay)`, all sharing one copy
+    /// of `payload`.
+    fn local_deliveries<P>(
+        class: PacketClass,
+        payload: P,
+        deliveries: Vec<(NodeId, SimDuration)>,
+    ) -> Vec<Emission<P>> {
+        let payload = Arc::new(payload);
+        deliveries
             .into_iter()
-            .map(|(n, delay)| Emission {
+            .map(|(to, delay)| Emission {
                 delay,
-                to: n,
+                to,
                 transport: Transport::Local {
                     class,
-                    payload: payload.clone(),
+                    payload: Arc::clone(&payload),
                 },
             })
             .collect()
@@ -491,7 +532,7 @@ impl NetworkCore {
     /// [`handle_deliver_step`](Self::handle_deliver_step) with the follow-up
     /// lifted into a `Vec` — the allocating convenience form for tests and
     /// small drain loops.
-    pub fn handle_deliver<P>(
+    pub fn handle_deliver<P: Clone>(
         &mut self,
         to: NodeId,
         transport: Transport<P>,
@@ -502,42 +543,29 @@ impl NetworkCore {
 
     /// Processes a fired delivery. Returns the payload if this was the final hop
     /// (for the protocol at `to`), plus at most one follow-up emission (GPSR
-    /// forwarding) — so the per-event hot path allocates nothing.
-    pub fn handle_deliver_step<P>(
+    /// forwarding) — so the per-event hot path allocates nothing. The last
+    /// receiver of a shared payload takes it without a copy; earlier ones
+    /// clone it.
+    pub fn handle_deliver_step<P: Clone>(
         &mut self,
         to: NodeId,
         transport: Transport<P>,
     ) -> (Option<(PacketClass, P)>, Option<Emission<P>>) {
-        match transport {
-            Transport::Local { class, payload } => {
-                self.trace(|t| TraceEvent::Delivered {
-                    t,
-                    node: to.0,
-                    class: class.index() as u8,
-                });
-                (Some((class, payload)), None)
-            }
-            Transport::Gpsr {
-                header,
-                class,
-                size,
-                payload,
-            } => {
-                // Re-run the routing decision at the new holder.
-                match self.gpsr_process(to, header, class, size, payload) {
-                    Routed::Arrived { class, payload } => {
-                        self.trace(|t| TraceEvent::Delivered {
-                            t,
-                            node: to.0,
-                            class: class.index() as u8,
-                        });
-                        (Some((class, payload)), None)
-                    }
-                    Routed::Forward(e) => (None, Some(e)),
-                    Routed::Dropped => (None, None),
-                }
-            }
-        }
+        let (class, payload) = match transport {
+            Transport::Local { class, payload } => (class, Arc::unwrap_or_clone(payload)),
+            // Re-run the routing decision at the new holder.
+            Transport::Gpsr(pkt) => match self.gpsr_process(to, pkt) {
+                Routed::Arrived(pkt) => (pkt.class, pkt.payload),
+                Routed::Forward(e) => return (None, Some(e)),
+                Routed::Dropped => return (None, None),
+            },
+        };
+        self.trace(|t| TraceEvent::Delivered {
+            t,
+            node: to.0,
+            class: class.index() as u8,
+        });
+        (Some((class, payload)), None)
     }
 }
 
@@ -545,6 +573,7 @@ impl NetworkCore {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use vanet_des::SimTime;
     use vanet_mobility::VehicleId;
     use vanet_roadnet::{generate_grid, GridMapSpec, L2Id, L3Id, Partition};
@@ -787,6 +816,137 @@ mod tests {
         // The lossless line delivers the query once and the broadcast twice.
         assert_eq!(tr.metrics.delivered(PacketClass::Query.index() as u8), 1);
         assert_eq!(tr.metrics.delivered(PacketClass::Update.index() as u8), 2);
+    }
+
+    /// A payload that counts how often it is cloned.
+    #[derive(Debug)]
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Counted(Arc::clone(&self.0))
+        }
+    }
+
+    #[test]
+    fn a_broadcast_to_k_receivers_clones_its_payload_k_minus_one_times() {
+        // Node 2 at 400 m reaches all four others on the lossless line.
+        let mut core = line_core(5, 200.0);
+        let clones = Arc::new(AtomicUsize::new(0));
+        let payload = Counted(Arc::clone(&clones));
+        let emissions = core.broadcast_onehop(NodeId(2), PacketClass::Update, 64, payload);
+        assert_eq!(emissions.len(), 4);
+        assert_eq!(
+            clones.load(Ordering::Relaxed),
+            0,
+            "scheduling copies nothing"
+        );
+        let got = drain(&mut core, emissions);
+        assert_eq!(got.len(), 4);
+        // Every receiver but the last clones; the last takes the shared body.
+        assert_eq!(clones.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn a_geo_broadcast_shares_one_payload_too() {
+        let mut core = line_core(6, 300.0);
+        let clones = Arc::new(AtomicUsize::new(0));
+        let emissions = core.geo_broadcast_region(
+            NodeId(0),
+            &BBox::new(-1.0, -1.0, 2000.0, 1.0),
+            PacketClass::Query,
+            96,
+            Counted(Arc::clone(&clones)),
+        );
+        let k = emissions.len();
+        assert!(k >= 4, "reached {k}");
+        assert_eq!(
+            clones.load(Ordering::Relaxed),
+            0,
+            "scheduling copies nothing"
+        );
+        assert_eq!(drain(&mut core, emissions).len(), k);
+        assert_eq!(clones.load(Ordering::Relaxed), k - 1);
+    }
+
+    #[test]
+    fn a_gpsr_packet_keeps_one_box_from_origin_to_arrival() {
+        let mut core = line_core(6, 300.0);
+        let dst = NodeId(5);
+        let send = |core: &mut NetworkCore| {
+            let at = core.registry.pos(dst);
+            core.send_gpsr(
+                NodeId(0),
+                GpsrTarget::Node(dst),
+                at,
+                PacketClass::Query,
+                128,
+                7u64,
+            )
+        };
+        // Warm the routing scratch buffers, so every later allocation would
+        // be the packet's own.
+        let warm = send(&mut core);
+        drain(&mut core, warm);
+
+        let mut e = send(&mut core).pop().expect("first hop");
+        let boxed: *const GpsrPacket<u64> = match &e.transport {
+            Transport::Gpsr(pkt) => &**pkt,
+            other => panic!("origin emitted {other:?}"),
+        };
+        let before = counting_alloc::allocs();
+        let mut hops = 1;
+        let payload = loop {
+            let at = e.to;
+            match core.handle_deliver_step(at, e.transport) {
+                (Some((_, payload)), None) => break payload,
+                (None, Some(next)) => {
+                    let Transport::Gpsr(pkt) = &next.transport else {
+                        panic!("a forward stays a GPSR packet");
+                    };
+                    assert!(std::ptr::eq(&**pkt, boxed), "hop {hops} moved the packet");
+                    assert_eq!(pkt.header.prev, Some(at), "header rewritten in place");
+                    hops += 1;
+                    e = next;
+                }
+                other => panic!("hop {hops} went nowhere: {other:?}"),
+            }
+        };
+        assert_eq!(counting_alloc::allocs(), before, "a hop allocated");
+        assert_eq!((payload, hops), (7, 5));
+    }
+
+    /// Counts the allocations made on the calling thread.
+    mod counting_alloc {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static ALLOCS: Cell<u64> = const { Cell::new(0) };
+        }
+
+        struct Counting;
+
+        // SAFETY: every call forwards to `System` unchanged.
+        unsafe impl GlobalAlloc for Counting {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+                System.alloc(layout)
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                System.dealloc(ptr, layout)
+            }
+        }
+
+        #[global_allocator]
+        static GLOBAL: Counting = Counting;
+
+        /// Allocations made on this thread so far.
+        pub fn allocs() -> u64 {
+            ALLOCS.with(Cell::get)
+        }
     }
 
     #[test]

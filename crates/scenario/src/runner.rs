@@ -73,14 +73,17 @@ fn note_fx<P, T>(check: &mut Option<CheckState<'_>>, fx: &[Effect<P, T>]) {
     }
 }
 
-/// Master event type of a run.
+/// Master event type of a run. Every variant is at most two words: packet
+/// bodies sit behind [`Transport`]'s pointer and timers are boxed (they are
+/// rare), so a queued event is 24 bytes however large the protocol's payload
+/// and timer types grow.
 enum Ev<P, T> {
     /// Advance the mobility model one tick.
     Tick,
     /// A packet delivery fires.
     Deliver(NodeId, Transport<P>),
     /// A protocol timer fires.
-    Timer(T),
+    Timer(Box<T>),
     /// Launch one location query.
     Query(VehicleId, VehicleId),
     /// Take a timeline sample.
@@ -376,11 +379,6 @@ fn drive<L: LocationService>(
             SimDuration::ZERO
         }
     };
-    // Pre-size the queue from the config: every mobility tick is scheduled up
-    // front, and in-flight radio traffic scales with the fleet (~32 pending
-    // events per vehicle covers the observed peaks with headroom). All shards
-    // share one queue, so this is one total at any shard count.
-    let tick_count = (cfg.duration.as_micros() / cfg.mobility.tick.as_micros().max(1)) as usize;
     // Threads only split the mobility step (`step_par`) across disjoint
     // vehicle slices; never run more of them than the host has cores. Every
     // sample is thread-count-invariant, so clamping changes wall clock only.
@@ -388,10 +386,10 @@ fn drive<L: LocationService>(
         .map(|n| n.get())
         .unwrap_or(usize::MAX);
     let threads = cfg.threads.clamp(1, shards).min(hw).max(1);
-    let cap = tick_count + cfg.vehicles * 32 + 64;
-    let mut queue: EpochExecutor<Ev<L::Payload, L::Timer>> =
-        EpochExecutor::with_capacity(shards, lookahead, cap)
-            .unwrap_or_else(|e| panic!("cannot shard this run: {e}"));
+    // All shards share one queue, whose slab grows in fixed chunks as the
+    // run needs them: there is nothing to pre-size.
+    let mut queue: EpochExecutor<Ev<L::Payload, L::Timer>> = EpochExecutor::new(shards, lookahead)
+        .unwrap_or_else(|e| panic!("cannot shard this run: {e}"));
     // Shard routing: a delivery belongs to the shard owning the recipient's
     // current L3 region. Control events (ticks, queries, sampling) live on
     // shard 0; protocol timers stay on the shard that armed them.
@@ -539,6 +537,9 @@ fn drive<L: LocationService>(
                 }
             }
             Ev::Deliver(to, transport) => {
+                // The body sits behind a pointer: start loading it while the
+                // shard and region lookups below run.
+                transport.prefetch();
                 // The recipient may have migrated since the event was routed:
                 // its *current* shard is the conservative-sync origin of any
                 // follow-up it emits (a popped-shard mismatch is a boundary
@@ -590,7 +591,7 @@ fn drive<L: LocationService>(
                 // A timer is node-local state on whatever shard armed it, so
                 // its effects originate from the shard it popped on.
                 queue.set_origin(Some(popped_shard));
-                let fx = proto.on_timer(&mut core, key, now);
+                let fx = proto.on_timer(&mut core, *key, now);
                 note_fx(&mut check, &fx);
                 apply(&mut queue, fx, &core.registry, &shard_of, popped_shard);
                 queue.set_origin(None);
@@ -819,7 +820,7 @@ fn apply<P, T>(
                 Ev::Deliver(e.to, e.transport),
             ),
             Effect::Timer { delay, key } => {
-                queue.schedule_after(origin_shard, delay, Ev::Timer(key))
+                queue.schedule_after(origin_shard, delay, Ev::Timer(Box::new(key)))
             }
         }
     }
@@ -828,6 +829,23 @@ fn apply<P, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A queued event stays small whatever the protocols carry: the sizes
+    /// the city runs' 400k-deep join burst is paid in.
+    #[test]
+    fn queued_events_stay_small() {
+        fn pin<L: LocationService>(name: &str) {
+            use std::mem::size_of;
+            let transport = size_of::<Transport<L::Payload>>();
+            let ev = size_of::<Ev<L::Payload, L::Timer>>();
+            let slot = EpochExecutor::<Ev<L::Payload, L::Timer>>::SLOT_BYTES;
+            assert!(transport <= 16, "{name} Transport is {transport} bytes");
+            assert!(ev <= 24, "{name} Ev is {ev} bytes");
+            assert!(slot <= 32, "{name} queue slot is {slot} bytes");
+        }
+        pin::<HlsrgProtocol>("HLSRG");
+        pin::<RlsmpProtocol>("RLSMP");
+    }
 
     #[test]
     fn quick_demo_runs_both_protocols() {
