@@ -32,9 +32,7 @@
 //!   O(log k) moves per event.
 //! * **The head is cached**: the least key a redistribution moves is the new
 //!   head (the buckets below were empty), and a schedule only has to compare
-//!   against the cached head. After each pop the queue prefetches the next
-//!   head's payload, so that cache miss overlaps with the caller's handling of
-//!   the event just popped.
+//!   against the cached head.
 //!
 //! The heap is *monotone*: it needs every new key to be larger than the last
 //! popped one. A simulation guarantees that — a schedule's time is never
@@ -55,9 +53,12 @@ const BUCKETS: usize = 128;
 /// chunk is 64 KiB, under glibc's smallest mmap threshold (128 KiB), so no
 /// chunk is mapped on its own. A slab grown as one 10–20 MB block would be,
 /// and freeing it would raise glibc's dynamic mmap threshold to its size for
-/// the rest of the process. The count is fixed, not derived from the slot
-/// size, so [`QueueTelemetry::resizes`] counts the same growths for every
-/// event type.
+/// the rest of the process. That bound holds only for slots of 64 bytes or
+/// less: the count is fixed, not derived from the slot size, so
+/// [`QueueTelemetry::resizes`] counts the same growths for every event type,
+/// and a larger slot makes larger chunks. The benchmark's traced driver,
+/// whose events hold timers inline in 104-byte slots, is the known
+/// exception: its chunks are about 208 KiB and each is mapped on its own.
 pub const CHUNK_SLOTS: usize = 2048;
 
 /// One pending event in the radix heap: its key halves and the slab slot that
@@ -82,27 +83,6 @@ impl Entry {
 #[inline]
 fn bucket_of(key: u128, last: u128) -> usize {
     (BUCKETS - (key ^ last).leading_zeros() as usize).saturating_sub(1)
-}
-
-/// Asks the CPU to start loading `value` into cache. A hint only: it never
-/// faults and changes no state, so results are the same with or without it.
-#[inline]
-pub fn prefetch<T: ?Sized>(value: &T) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let p = (value as *const T).cast::<i8>();
-        let size = std::mem::size_of_val(value);
-        // One touch per 64-byte line, plus the last byte for a value that
-        // straddles one more line than its size needs.
-        for off in (0..size).step_by(64).chain([size.saturating_sub(1)]) {
-            // SAFETY: a prefetch of any address is a hint that never faults
-            // or reads memory architecturally.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(off)) }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = value;
 }
 
 /// Self-telemetry of a queue: sizing and scan statistics since construction (or
@@ -219,13 +199,6 @@ impl<E> EventQueue<E> {
     /// preserves for reuse (diagnostics and tests).
     pub fn storage_capacity(&self) -> usize {
         self.chunks.len() * CHUNK_SLOTS
-    }
-
-    /// The payload slot `slot`.
-    #[inline]
-    fn slot(&self, slot: u32) -> &Option<E> {
-        let s = slot as usize;
-        &self.chunks[s / CHUNK_SLOTS][s % CHUNK_SLOTS]
     }
 
     /// The payload slot `slot`, mutably.
@@ -395,11 +368,6 @@ impl<E> EventQueue<E> {
             Some((_, pos)) => pos,
             None => self.scan_lowest(),
         };
-        // Start loading the next payload now, so the miss overlaps with the
-        // caller's handling of this event rather than stalling the next pop.
-        if let Some(e) = self.head_entry() {
-            prefetch(self.slot(e.slot));
-        }
         (SimTime::from_micros(head.time), event)
     }
 

@@ -52,7 +52,7 @@ pub mod shard;
 pub mod stats;
 pub mod time;
 
-pub use event::{prefetch, run, run_until, Control, EventQueue, QueueTelemetry, RunOutcome};
+pub use event::{run, run_until, Control, EventQueue, QueueTelemetry, RunOutcome};
 pub use exec::EpochExecutor;
 pub use heap::HeapQueue;
 pub use rng::{derive_seed, splitmix64, stream_rng, StreamId};
@@ -148,10 +148,19 @@ mod proptests {
     /// Runs `ops` through a queue and the heap reference, then drains both:
     /// every residual event must match too.
     fn drive_queue_against_heap(q: &mut EventQueue<u64>, ops: &[(u8, u64)]) {
-        let mut heap = HeapQueue::new();
-        let mut next_payload = 0u64;
+        drive_pair(q, &mut HeapQueue::new(), 0, ops);
+    }
+
+    /// [`drive_queue_against_heap`] from a queue and reference already in
+    /// step, numbering new payloads from `next_payload`.
+    fn drive_pair(
+        q: &mut EventQueue<u64>,
+        heap: &mut HeapQueue<u64>,
+        mut next_payload: u64,
+        ops: &[(u8, u64)],
+    ) {
         for &(code, v) in ops {
-            apply_differential_op(code, v, q, &mut heap, &mut next_payload);
+            apply_differential_op(code, v, q, heap, &mut next_payload);
         }
         loop {
             let (a, b) = (q.pop(), heap.pop());
@@ -270,6 +279,33 @@ mod proptests {
             ops in proptest::collection::vec((0u8..13, 0u64..u64::MAX / 2), 1..400),
         ) {
             drive_queue_against_heap(&mut EventQueue::new(), &ops);
+        }
+
+        /// The pop order must not depend on the slab's layout. A warm-up of
+        /// `warm` same-instant events, scheduled and drained, leaves up to
+        /// five chunks allocated and every slot on the free list in pop
+        /// order; a reset then keeps the chunks but empties the free list.
+        /// Either state must match the reference from then on.
+        #[test]
+        fn pop_order_is_independent_of_slab_layout(
+            ops in proptest::collection::vec((0u8..13, 0u64..u64::MAX / 2), 1..200),
+            warm in 0usize..5 * event::CHUNK_SLOTS,
+            reset in any::<bool>(),
+        ) {
+            let (mut q, mut heap) = (EventQueue::new(), HeapQueue::new());
+            for i in 0..warm as u64 {
+                q.schedule_at(SimTime::ZERO, i);
+                heap.schedule_at(SimTime::ZERO, i);
+            }
+            for _ in 0..warm {
+                prop_assert_eq!(q.pop(), heap.pop());
+            }
+            prop_assert_eq!(q.storage_capacity(), warm.div_ceil(event::CHUNK_SLOTS) * event::CHUNK_SLOTS);
+            if reset {
+                q.reset();
+                heap.reset();
+            }
+            drive_pair(&mut q, &mut heap, warm as u64, &ops);
         }
 
         /// Events always come out in non-decreasing time order, and ties preserve

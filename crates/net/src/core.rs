@@ -52,16 +52,6 @@ impl<P> Transport<P> {
         }
     }
 
-    /// Starts loading the packet body into cache: a hint for a caller with
-    /// other work to do before it hands the packet to the core.
-    #[inline]
-    pub fn prefetch(&self) {
-        match self {
-            Transport::Local { payload, .. } => vanet_des::prefetch(&**payload),
-            Transport::Gpsr(pkt) => vanet_des::prefetch(&**pkt),
-        }
-    }
-
     /// The routing header of a GPSR packet; `None` for a final-hop delivery.
     #[inline]
     pub fn gpsr_header(&self) -> Option<&GpsrHeader> {

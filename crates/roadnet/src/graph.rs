@@ -233,15 +233,18 @@ impl RoadNetwork {
 
     /// The intersection nearest to `p` (ties broken by lowest id).
     pub fn nearest_intersection(&self, p: Point) -> IntersectionId {
-        self.intersections
-            .iter()
-            .min_by(|x, y| {
-                p.distance_sq(x.pos)
-                    .total_cmp(&p.distance_sq(y.pos))
-                    .then_with(|| x.id.cmp(&y.id))
-            })
-            .expect("network is non-empty")
-            .id
+        // Ids are indices, so keeping the first strict minimum (by
+        // `total_cmp`, NaN included) breaks ties by lowest id. Each distance is
+        // computed once, and the running minimum only steers a branch the
+        // predictor learns; a `min_by` recomputed its distance at every step.
+        let mut dists = self.intersections.iter().map(|x| p.distance_sq(x.pos));
+        let mut best = (dists.next().expect("network is non-empty"), 0);
+        for (i, d) in dists.enumerate() {
+            if d.total_cmp(&best.0).is_lt() {
+                best = (d, i + 1);
+            }
+        }
+        self.intersections[best.1].id
     }
 
     /// The road nearest to `p` (ties broken by lowest id), with its distance.
@@ -351,6 +354,8 @@ impl RoadNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{RngExt, SeedableRng};
 
     /// A 2×2 unit square: 4 nodes, 4 edges.
     fn square() -> RoadNetwork {
@@ -397,6 +402,61 @@ mod tests {
         let (rid, d) = net.nearest_road(Point::new(50.0, 10.0));
         assert_eq!(rid, RoadId(0));
         assert_eq!(d, 10.0);
+    }
+
+    #[test]
+    fn nearest_intersection_matches_a_total_order_minimum() {
+        // The ordering the scan must reproduce: distance by `total_cmp`,
+        // then lowest id.
+        fn reference(net: &RoadNetwork, p: Point) -> IntersectionId {
+            net.intersections()
+                .iter()
+                .min_by(|x, y| {
+                    p.distance_sq(x.pos)
+                        .total_cmp(&p.distance_sq(y.pos))
+                        .then_with(|| x.id.cmp(&y.id))
+                })
+                .expect("network is non-empty")
+                .id
+        }
+        let net = square();
+        // The centre and the midpoints of the sides tie two or four corners.
+        let mut probes = vec![
+            Point::new(50.0, 50.0),
+            Point::new(50.0, 0.0),
+            Point::new(100.0, 50.0),
+            Point::new(50.0, 100.0),
+            Point::new(0.0, 50.0),
+            Point::new(f64::NAN, 3.0),
+            Point::new(f64::INFINITY, 0.0),
+            Point::new(-1e300, 1e300),
+        ];
+        let mut rng = SmallRng::seed_from_u64(4);
+        probes.extend((0..500).map(|_| {
+            Point::new(
+                rng.random_range(-50.0..150.0),
+                rng.random_range(-50.0..150.0),
+            )
+        }));
+        for p in probes {
+            assert_eq!(net.nearest_intersection(p), reference(&net, p), "{p:?}");
+        }
+        // Non-finite positions, which a parsed map can hold: a negative NaN
+        // distance orders below every number, a positive one above.
+        let mut b = RoadNetworkBuilder::new();
+        for pos in [
+            Point::new(f64::NAN, 0.0),
+            Point::new(f64::INFINITY, 0.0),
+            Point::new(5.0, 5.0),
+            Point::new(-f64::NAN, 0.0),
+            Point::new(5.0, 5.0),
+        ] {
+            b.add_intersection(pos);
+        }
+        let odd = b.build();
+        for p in [Point::new(0.0, 0.0), Point::new(f64::NAN, 1.0)] {
+            assert_eq!(odd.nearest_intersection(p), reference(&odd, p), "{p:?}");
+        }
     }
 
     #[test]

@@ -537,9 +537,6 @@ fn drive<L: LocationService>(
                 }
             }
             Ev::Deliver(to, transport) => {
-                // The body sits behind a pointer: start loading it while the
-                // shard and region lookups below run.
-                transport.prefetch();
                 // The recipient may have migrated since the event was routed:
                 // its *current* shard is the conservative-sync origin of any
                 // follow-up it emits (a popped-shard mismatch is a boundary
@@ -842,6 +839,9 @@ mod tests {
             assert!(transport <= 16, "{name} Transport is {transport} bytes");
             assert!(ev <= 24, "{name} Ev is {ev} bytes");
             assert!(slot <= 32, "{name} queue slot is {slot} bytes");
+            // A slab chunk must stay under glibc's smallest mmap threshold.
+            let chunk = slot * vanet_des::event::CHUNK_SLOTS;
+            assert!(chunk <= 128 << 10, "{name} slab chunk is {chunk} bytes");
         }
         pin::<HlsrgProtocol>("HLSRG");
         pin::<RlsmpProtocol>("RLSMP");
