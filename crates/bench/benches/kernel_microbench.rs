@@ -148,6 +148,43 @@ fn bench_spatial_hash(c: &mut Criterion) {
     group.finish();
 }
 
+/// One mobility tick's grid delta: every tracked id moves about 8 m (one
+/// 500 ms tick at 60 km/h), so a few percent of them cross a 500 m cell.
+/// Iterations alternate between two position sets so the fleet stays put.
+fn bench_spatial_hash_apply_moves(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel/spatial_hash_apply_moves");
+    for &n in &[2_000usize, 10_000] {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let here: Vec<(u64, Point)> = (0..n as u64)
+            .map(|i| {
+                let p = Point::new(
+                    rng.random_range(0.0..12_000.0),
+                    rng.random_range(0.0..12_000.0),
+                );
+                (i, p)
+            })
+            .collect();
+        let there: Vec<(u64, Point)> = here
+            .iter()
+            .map(|&(i, p)| {
+                let (dx, dy) = if i % 2 == 0 { (8.3, 0.0) } else { (0.0, -8.3) };
+                (i, Point::new(p.x + dx, p.y + dy))
+            })
+            .collect();
+        let mut h = SpatialHash::with_capacity(500.0, n);
+        h.apply_moves(here.iter().copied());
+        let mut flip = false;
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                flip = !flip;
+                let moves = if flip { &there } else { &here };
+                black_box(h.apply_moves(moves.iter().copied()).crossed)
+            })
+        });
+    }
+    group.finish();
+}
+
 /// `n` vehicles uniform on a `side`-meter square, indexed in radio-range buckets.
 fn uniform_registry(n: u32, side: f64, seed: u64) -> NodeRegistry {
     let mut reg = NodeRegistry::with_capacity(500.0, n as usize);
@@ -244,6 +281,16 @@ fn bench_partition(c: &mut Criterion) {
             black_box(acc)
         })
     });
+    // The runner's per-vehicle region tally makes this lookup every tick.
+    c.bench_function("kernel/partition_l3_of_1k", |b| {
+        b.iter(|| {
+            let mut acc = 0u32;
+            for &pt in &pts {
+                acc = acc.wrapping_add(p.l3_of(pt).0);
+            }
+            black_box(acc)
+        })
+    });
 }
 
 fn main() {
@@ -252,6 +299,7 @@ fn main() {
     bench_event_queue_hold(&mut c);
     bench_event_queue_burst(&mut c);
     bench_spatial_hash(&mut c);
+    bench_spatial_hash_apply_moves(&mut c);
     bench_gpsr(&mut c);
     bench_mobility_tick(&mut c);
     bench_partition(&mut c);

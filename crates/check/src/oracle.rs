@@ -117,6 +117,11 @@ impl Oracle {
         self.scheduled[class_ix(&e.transport)] += 1;
     }
 
+    /// `Deliver` events handed to the core so far, all classes together.
+    pub fn consumed_deliveries(&self) -> u64 {
+        self.consumed.iter().sum()
+    }
+
     /// Called right before a popped `Deliver` event enters the network core.
     pub fn pre_deliver<P>(&mut self, t: &Transport<P>, counters: &NetCounters) -> PendingDeliver {
         let class = t.class();

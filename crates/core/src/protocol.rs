@@ -11,7 +11,7 @@ use crate::messages::{
     HlsrgPayload, HlsrgTimer, NotifyPacket, NotifySource, RequestPacket, RequestStage, UpdatePacket,
 };
 use crate::tables::{L1Entry, L1Table, L2Table, L3Table, UpEntry};
-use crate::update::{update_trigger_with_policy, UpdateReason};
+use crate::update::{left_center_zone, update_rule, SampleCells, UpdateReason};
 use rand::rngs::SmallRng;
 use rand::RngExt;
 use std::sync::Arc;
@@ -186,8 +186,15 @@ impl HlsrgProtocol {
 
     // ---- update path ----
 
-    /// Broadcasts one location update for the vehicle described by `s`.
-    fn send_update(&mut self, core: &mut NetworkCore, s: &MoveSample, now: SimTime) -> Fx {
+    /// Broadcasts one location update for the vehicle described by `s`, whose
+    /// new position lies in grid `l1`.
+    fn send_update(
+        &mut self,
+        core: &mut NetworkCore,
+        s: &MoveSample,
+        l1: L1Id,
+        now: SimTime,
+    ) -> Fx {
         let node = core.registry.node_of_vehicle(s.id);
         let packet = UpdatePacket {
             vehicle: s.id,
@@ -196,7 +203,7 @@ impl HlsrgProtocol {
             heading: s.heading,
             road: s.road,
             road_class: s.road_class,
-            l1: self.partition.l1_of(s.new_pos),
+            l1,
         };
         deliveries(core.broadcast_onehop(
             node,
@@ -798,7 +805,8 @@ impl LocationService for HlsrgProtocol {
         // Initial registration: every vehicle announces itself unconditionally.
         let mut fx = Vec::new();
         for s in samples {
-            fx.extend(self.send_update(core, s, now));
+            let l1 = self.partition.l1_of(s.new_pos);
+            fx.extend(self.send_update(core, s, l1, now));
         }
         fx
     }
@@ -806,22 +814,18 @@ impl LocationService for HlsrgProtocol {
     fn on_move(&mut self, core: &mut NetworkCore, samples: &[MoveSample], now: SimTime) -> Fx {
         let mut fx = Vec::new();
         for s in samples {
+            let cells = SampleCells::of(&self.partition, s);
             if self.cfg.collection_mode == crate::config::CollectionMode::OnDeparture {
                 // Departure hand-off: the vehicle was in some grid's center zone
                 // and has left it this tick.
-                let g_old = self.partition.l1_of(s.old_pos);
-                let center = self.l1_center_pos[g_old.0 as usize];
-                let was_inside = s.old_pos.distance(center) <= self.cfg.center_radius;
-                let now_outside = s.new_pos.distance(center) > self.cfg.center_radius
-                    || self.partition.l1_of(s.new_pos) != g_old;
-                if was_inside && now_outside {
+                if let Some(g_old) =
+                    left_center_zone(&self.l1_center_pos, self.cfg.center_radius, s, cells)
+                {
                     let node = core.registry.node_of_vehicle(s.id);
                     fx.extend(self.handle_departure(core, g_old, node, now));
                 }
             }
-            let Some(reason) =
-                update_trigger_with_policy(&self.partition, self.cfg.update_policy, s)
-            else {
+            let Some(reason) = update_rule(self.cfg.update_policy, s, cells) else {
                 continue;
             };
             self.reason_counts[Self::reason_ix(reason)] += 1;
@@ -831,7 +835,7 @@ impl LocationService for HlsrgProtocol {
                 artery: s.road_class == vanet_roadnet::RoadClass::Artery,
                 reason: Self::reason_ix(reason) as u8,
             });
-            fx.extend(self.send_update(core, s, now));
+            fx.extend(self.send_update(core, s, cells.new.0, now));
         }
         fx
     }

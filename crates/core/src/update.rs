@@ -15,9 +15,9 @@
 //! sends — the 50 % overhead reduction of Fig 3.2 comes from exactly this function.
 
 use serde::{Deserialize, Serialize};
-use vanet_geo::TurnKind;
+use vanet_geo::{Point, TurnKind};
 use vanet_mobility::MoveSample;
-use vanet_roadnet::{Partition, RoadClass};
+use vanet_roadnet::{L1Id, L3Id, Partition, RoadClass};
 
 /// Why an update was triggered (for diagnostics and tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,23 +43,53 @@ pub enum UpdatePolicy {
     EveryL1Crossing,
 }
 
+/// The L1 and L3 cells of a sample's old and new positions: everything the
+/// update rules and the center-zone departure check read from the partition.
+/// One [`Partition::l1_l3_of`] per position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SampleCells {
+    pub old: (L1Id, L3Id),
+    pub new: (L1Id, L3Id),
+}
+
+impl SampleCells {
+    #[inline]
+    pub fn of(partition: &Partition, s: &MoveSample) -> Self {
+        SampleCells {
+            old: partition.l1_l3_of(s.old_pos),
+            new: partition.l1_l3_of(s.new_pos),
+        }
+    }
+}
+
 /// Applies `policy` to one movement sample.
 pub fn update_trigger_with_policy(
     partition: &Partition,
     policy: UpdatePolicy,
     s: &MoveSample,
 ) -> Option<UpdateReason> {
-    match policy {
-        UpdatePolicy::RoadAdapted => update_trigger(partition, s),
-        UpdatePolicy::EveryL1Crossing => (partition.l1_of(s.old_pos) != partition.l1_of(s.new_pos))
-            .then_some(UpdateReason::NormalBoundaryCrossing),
-    }
+    update_rule(policy, s, SampleCells::of(partition, s))
 }
 
 /// Applies the class-1/class-2 rules to one movement sample.
 ///
 /// Returns `Some(reason)` if the vehicle must broadcast a location update this tick.
 pub fn update_trigger(partition: &Partition, s: &MoveSample) -> Option<UpdateReason> {
+    update_trigger_with_policy(partition, UpdatePolicy::RoadAdapted, s)
+}
+
+/// Applies `policy` to one movement sample whose cells are `cells`: the one
+/// implementation of the update rules.
+#[inline]
+pub(crate) fn update_rule(
+    policy: UpdatePolicy,
+    s: &MoveSample,
+    cells: SampleCells,
+) -> Option<UpdateReason> {
+    let l1_crossed = cells.old.0 != cells.new.0;
+    if policy == UpdatePolicy::EveryL1Crossing {
+        return l1_crossed.then_some(UpdateReason::NormalBoundaryCrossing);
+    }
     // A straight crossing of an intersection is not a "turn" in the paper's sense.
     let turned = s.turn.filter(|t| t.kind != TurnKind::Straight);
     // The class is decided by the road the vehicle was driving *before* the
@@ -71,10 +101,7 @@ pub fn update_trigger(partition: &Partition, s: &MoveSample) -> Option<UpdateRea
             if turned.is_some() {
                 return Some(UpdateReason::ArteryTurn);
             }
-            if partition.l3_of(s.old_pos) != partition.l3_of(s.new_pos) {
-                return Some(UpdateReason::ArteryL3Crossing);
-            }
-            None
+            (cells.old.1 != cells.new.1).then_some(UpdateReason::ArteryL3Crossing)
         }
         RoadClass::Normal => {
             if let Some(t) = turned {
@@ -82,22 +109,37 @@ pub fn update_trigger(partition: &Partition, s: &MoveSample) -> Option<UpdateRea
                     return Some(UpdateReason::NormalTurnOntoArtery);
                 }
             }
-            if partition.l1_of(s.old_pos) != partition.l1_of(s.new_pos) {
-                return Some(UpdateReason::NormalBoundaryCrossing);
-            }
-            None
+            l1_crossed.then_some(UpdateReason::NormalBoundaryCrossing)
         }
     }
+}
+
+/// The [`CollectionMode::OnDeparture`](crate::config::CollectionMode) hand-off
+/// test: the L1 grid whose center zone (within `radius` of
+/// `l1_centers[grid]`) the vehicle was in at `old_pos` and has left, by
+/// distance or by leaving the grid.
+#[inline]
+pub(crate) fn left_center_zone(
+    l1_centers: &[Point],
+    radius: f64,
+    s: &MoveSample,
+    cells: SampleCells,
+) -> Option<L1Id> {
+    let g_old = cells.old.0;
+    let center = l1_centers[g_old.0 as usize];
+    let was_inside = s.old_pos.distance(center) <= radius;
+    let now_outside = s.new_pos.distance(center) > radius || cells.new.0 != g_old;
+    (was_inside && now_outside).then_some(g_old)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    use vanet_geo::{Cardinal, Heading, Point};
+    use rand::{RngExt, SeedableRng};
+    use vanet_geo::{Cardinal, Heading};
     use vanet_mobility::{TurnEvent, VehicleId};
-    use vanet_roadnet::{generate_grid, GridMapSpec, IntersectionId, L1Id, RoadId};
+    use vanet_roadnet::{generate_grid, GridMapSpec, IntersectionId, RoadId};
 
     fn partition(size: f64) -> Partition {
         let net = generate_grid(&GridMapSpec::paper(size), &mut SmallRng::seed_from_u64(0));
@@ -297,5 +339,121 @@ mod tests {
             Some(turn(TurnKind::UTurn, RoadClass::Artery, RoadClass::Artery)),
         );
         assert_eq!(update_trigger(&p, &s), Some(UpdateReason::ArteryTurn));
+    }
+
+    // ---- the shared rule against a direct reference ----
+
+    /// The update rules written against `l1_of`/`l3_of` directly, one lookup
+    /// per question, as `update_trigger_with_policy` computed them before the
+    /// cells were shared.
+    fn reference_trigger(
+        p: &Partition,
+        policy: UpdatePolicy,
+        s: &MoveSample,
+    ) -> Option<UpdateReason> {
+        if policy == UpdatePolicy::EveryL1Crossing {
+            return (p.l1_of(s.old_pos) != p.l1_of(s.new_pos))
+                .then_some(UpdateReason::NormalBoundaryCrossing);
+        }
+        let turned = s.turn.filter(|t| t.kind != TurnKind::Straight);
+        match turned.map(|t| t.from_class).unwrap_or(s.road_class) {
+            RoadClass::Artery if turned.is_some() => Some(UpdateReason::ArteryTurn),
+            RoadClass::Artery => {
+                (p.l3_of(s.old_pos) != p.l3_of(s.new_pos)).then_some(UpdateReason::ArteryL3Crossing)
+            }
+            RoadClass::Normal if turned.is_some_and(|t| t.onto_class == RoadClass::Artery) => {
+                Some(UpdateReason::NormalTurnOntoArtery)
+            }
+            RoadClass::Normal => (p.l1_of(s.old_pos) != p.l1_of(s.new_pos))
+                .then_some(UpdateReason::NormalBoundaryCrossing),
+        }
+    }
+
+    /// The center-zone departure check written against `l1_of` directly.
+    fn reference_departure(
+        p: &Partition,
+        centers: &[Point],
+        radius: f64,
+        s: &MoveSample,
+    ) -> Option<L1Id> {
+        let g_old = p.l1_of(s.old_pos);
+        let center = centers[g_old.0 as usize];
+        let was_inside = s.old_pos.distance(center) <= radius;
+        let now_outside = s.new_pos.distance(center) > radius || p.l1_of(s.new_pos) != g_old;
+        (was_inside && now_outside).then_some(g_old)
+    }
+
+    /// Random short moves straddling L1 and L3 edges (and, at a 250 m
+    /// radius, the center zones), on both road classes, with every turn kind
+    /// and both policies: the shared rule and departure check must agree
+    /// with the references on every sample, and every outcome must occur.
+    #[test]
+    fn shared_rule_matches_direct_reference() {
+        let mut rng = SmallRng::seed_from_u64(18);
+        let classes = [RoadClass::Artery, RoadClass::Normal];
+        let kinds = [TurnKind::Straight, TurnKind::Turn, TurnKind::UTurn];
+        let mut reasons = [0u32; 4];
+        let mut departures = 0u32;
+        let mut silent = 0u32;
+        for (w, h) in [(4000.0, 4000.0), (2300.0, 3300.0)] {
+            let spec = GridMapSpec {
+                width: w,
+                height: h,
+                ..GridMapSpec::paper(w)
+            };
+            let net = generate_grid(&spec, &mut SmallRng::seed_from_u64(0));
+            let p = Partition::build(&net, 500.0);
+            let centers: Vec<Point> = (0..p.l1_count() as u32)
+                .map(|i| net.pos(p.l1_center(L1Id(i))))
+                .collect();
+            for _ in 0..20_000 {
+                // One coordinate within 30 m of an L1 edge line (every
+                // fourth line is an L3 edge), the other anywhere on or near
+                // the map; then a move of up to 25 m per axis.
+                let edge = rng.random_range(0..=9) as f64 * 500.0 + rng.random_range(-30.0..30.0);
+                let along = rng.random_range(-200.0..w.max(h) + 200.0);
+                let old = if rng.random::<bool>() {
+                    Point::new(edge, along)
+                } else {
+                    Point::new(along, edge)
+                };
+                let new = Point::new(
+                    old.x + rng.random_range(-25.0..25.0),
+                    old.y + rng.random_range(-25.0..25.0),
+                );
+                let t = rng.random_range(0..4usize);
+                let t = (t < 3).then(|| {
+                    turn(
+                        kinds[t],
+                        classes[rng.random_range(0..2usize)],
+                        classes[rng.random_range(0..2usize)],
+                    )
+                });
+                let s = sample(old, new, classes[rng.random_range(0..2usize)], t);
+                let cells = SampleCells::of(&p, &s);
+                for policy in [UpdatePolicy::RoadAdapted, UpdatePolicy::EveryL1Crossing] {
+                    let got = update_rule(policy, &s, cells);
+                    assert_eq!(got, reference_trigger(&p, policy, &s), "{policy:?} {s:?}");
+                    match got {
+                        Some(r) => reasons[r as usize] += 1,
+                        None => silent += 1,
+                    }
+                }
+                assert_eq!(
+                    update_trigger_with_policy(&p, UpdatePolicy::RoadAdapted, &s),
+                    update_rule(UpdatePolicy::RoadAdapted, &s, cells)
+                );
+                for radius in [100.0, 250.0] {
+                    let got = left_center_zone(&centers, radius, &s, cells);
+                    assert_eq!(got, reference_departure(&p, &centers, radius, &s), "{s:?}");
+                    departures += got.is_some() as u32;
+                }
+            }
+        }
+        assert!(reasons.iter().all(|&n| n > 0), "reasons hit: {reasons:?}");
+        assert!(
+            departures > 0 && silent > 0,
+            "{departures} departures, {silent} silent"
+        );
     }
 }

@@ -24,6 +24,7 @@
 //!   (seedless, so runs stay reproducible; several times cheaper than SipHash
 //!   on the small integer keys used here).
 
+use crate::floor_i64;
 use crate::point::Point;
 use fxhash::FxHashMap;
 
@@ -181,11 +182,9 @@ impl SpatialHash {
         }
     }
 
+    #[inline]
     fn key(&self, p: Point) -> (i64, i64) {
-        (
-            (p.x / self.cell).floor() as i64,
-            (p.y / self.cell).floor() as i64,
-        )
+        (floor_i64(p.x / self.cell), floor_i64(p.y / self.cell))
     }
 
     /// Linear index of `k` in the core grid, if it falls inside it.

@@ -118,6 +118,10 @@ pub struct MobilityModel {
     lane_slot: Vec<u32>,
     /// Per-touched-lane shared context, rebuilt each tick in lane order.
     lane_ctx: Vec<LaneCtx>,
+    /// Travel heading of every directed lane (`road · 2 + direction`), so
+    /// neither a lane's context nor a turn pays an `atan2`. Filled on the
+    /// first step, not at construction.
+    lane_heading: Vec<Heading>,
 }
 
 /// One independent route-choice stream per vehicle, derived from `base` by
@@ -162,6 +166,7 @@ impl MobilityModel {
             lane_id: Vec::with_capacity(n),
             lane_slot: Vec::new(),
             lane_ctx: Vec::new(),
+            lane_heading: Vec::new(),
         }
     }
 
@@ -243,7 +248,7 @@ impl MobilityModel {
         self.lane_id.clear();
         for i in 0..n {
             let road = self.fleet.road[i];
-            let l = road.0 as usize * 2 + (self.fleet.from[i] == net.road(road).a) as usize;
+            let l = lane_of(net, road, self.fleet.from[i]);
             if self.lanes[l].is_empty() {
                 self.lane_slot[l] = self.lanes_touched.len() as u32;
                 self.lanes_touched.push(l as u32);
@@ -267,16 +272,23 @@ impl MobilityModel {
     /// Builds the per-lane shared context for this tick, in the lane order the
     /// leader pass discovered. One road lookup, one segment build, and one
     /// light check per *occupied directed lane*, amortized over all of its
-    /// vehicles.
+    /// vehicles; the heading is read from the lane-heading table, which the
+    /// first call builds.
     fn prepare_lane_ctx(&mut self, net: &RoadNetwork, lights: &TrafficLights, now: SimTime) {
+        if self.lane_heading.len() != net.road_count() * 2 {
+            self.lane_heading = (0..net.road_count() as u32 * 2)
+                .map(|l| {
+                    let (road, from, _) = lane_ends(net, l);
+                    net.heading_from(road, from)
+                })
+                .collect();
+        }
         self.lane_ctx.clear();
         for &l in &self.lanes_touched {
-            let road = RoadId(l / 2);
+            let (road, from, end) = lane_ends(net, l);
             let r = net.road(road);
-            let from = if l % 2 == 1 { r.a } else { r.b };
-            let end = if l % 2 == 1 { r.b } else { r.a };
             let seg = Segment::new(net.pos(from), net.pos(end));
-            let heading = seg.heading().expect("roads have positive length");
+            let heading = self.lane_heading[l as usize];
             self.lane_ctx.push(LaneCtx {
                 seg,
                 len: r.length,
@@ -325,6 +337,7 @@ impl MobilityModel {
             &self.cfg,
             net,
             &self.lane_ctx,
+            &self.lane_heading,
             0,
             &self.cap,
             &self.lane_id,
@@ -376,6 +389,7 @@ impl MobilityModel {
             let mut cap = self.cap.as_slice();
             let mut lane_id = self.lane_id.as_slice();
             let lane_ctx = self.lane_ctx.as_slice();
+            let lane_heading = self.lane_heading.as_slice();
             let mut base = 0usize;
             while base < n {
                 let take = chunk.min(n - base);
@@ -400,12 +414,45 @@ impl MobilityModel {
                 let (li, rest) = lane_id.split_at(take);
                 lane_id = rest;
                 s.spawn(move || {
-                    advance_chunk(&cfg, net, lane_ctx, base, c, li, r, f, o, sp, d, pl, rg, sm);
+                    advance_chunk(
+                        &cfg,
+                        net,
+                        lane_ctx,
+                        lane_heading,
+                        base,
+                        c,
+                        li,
+                        r,
+                        f,
+                        o,
+                        sp,
+                        d,
+                        pl,
+                        rg,
+                        sm,
+                    );
                 });
                 base += take;
             }
         });
         &self.samples
+    }
+}
+
+/// Directed lane index of driving `road` away from `from`.
+#[inline]
+fn lane_of(net: &RoadNetwork, road: RoadId, from: IntersectionId) -> usize {
+    road.0 as usize * 2 + (from == net.road(road).a) as usize
+}
+
+/// The road of directed lane `l`, and the intersections it leaves and enters.
+fn lane_ends(net: &RoadNetwork, l: u32) -> (RoadId, IntersectionId, IntersectionId) {
+    let road = RoadId(l / 2);
+    let r = net.road(road);
+    if l % 2 == 1 {
+        (road, r.a, r.b)
+    } else {
+        (road, r.b, r.a)
     }
 }
 
@@ -419,6 +466,7 @@ fn advance_chunk(
     cfg: &MobilityConfig,
     net: &RoadNetwork,
     lane_ctx: &[LaneCtx],
+    lane_heading: &[Heading],
     base: usize,
     cap: &[f64],
     lane_id: &[u32],
@@ -449,7 +497,7 @@ fn advance_chunk(
         }
 
         let len = ctx.len;
-        let (new_road, new_from, new_offset);
+        let (new_road, new_from, new_offset, new_pos, out_class, out_heading);
         if old_offset + advance >= len && ctx.green {
             // Cross the intersection: pick the next road, carry leftover motion.
             let at = ctx.end;
@@ -471,36 +519,34 @@ fn advance_chunk(
                     }
                 }
             };
-            let leave = net.heading_from(next, at);
+            let leave = lane_heading[lane_of(net, next, at)];
+            let next_road = net.road(next);
             turn = Some(TurnEvent {
                 at,
                 from_road: old_road,
                 to_road: next,
                 kind: classify_turn(arrive, leave),
                 from_class: ctx.class,
-                onto_class: net.road(next).class,
+                onto_class: next_road.class,
             });
             let leftover = (old_offset + advance - len).max(0.0);
             new_road = next;
             new_from = at;
             // Clamp so a single tick never skips the whole next road.
-            new_offset = leftover.min(net.road(next).length - 1e-6);
+            new_offset = leftover.min(next_road.length - 1e-6);
+            new_pos = net.segment_from(next, at).point_at(new_offset);
+            out_class = next_road.class;
+            out_heading = leave;
         } else {
             // Either staying on the road or blocked at a red light.
             new_road = old_road;
             new_from = old_from;
             new_offset = (old_offset + advance).min(len);
+            new_pos = ctx.seg.point_at(new_offset);
+            out_class = ctx.class;
+            out_heading = ctx.heading;
         }
 
-        let (new_pos, out_class, out_heading) = if turn.is_some() {
-            (
-                net.segment_from(new_road, new_from).point_at(new_offset),
-                net.road(new_road).class,
-                net.heading_from(new_road, new_from),
-            )
-        } else {
-            (ctx.seg.point_at(new_offset), ctx.class, ctx.heading)
-        };
         // Realized speed, from actual displacement along roads.
         let moved = if turn.is_some() {
             (len - old_offset) + new_offset
@@ -852,6 +898,38 @@ mod tests {
                 par.vehicles(),
                 "vehicle states diverged with {threads} threads"
             );
+        }
+    }
+
+    /// The lane-heading table holds, bit for bit, the heading
+    /// `net.heading_from` computes for every directed lane: on the city map
+    /// (axis-aligned roads) and on a jittered one (arbitrary bearings).
+    #[test]
+    fn lane_headings_match_heading_from_bitwise() {
+        for spec in [
+            GridMapSpec::paper(12_000.0),
+            GridMapSpec::jittered(2_000.0, 40.0),
+        ] {
+            let net = generate_grid(&spec, &mut SmallRng::seed_from_u64(0));
+            let lights = TrafficLights::new(&net, LightConfig::default());
+            let mut rng = SmallRng::seed_from_u64(3);
+            let mut model = MobilityModel::new(&net, MobilityConfig::default(), 10, &mut rng);
+            assert!(model.lane_heading.is_empty(), "built before the first step");
+            model.step(&net, &lights, SimTime::ZERO);
+            assert_eq!(model.lane_heading.len(), net.road_count() * 2);
+            for r in 0..net.road_count() as u32 {
+                let road = RoadId(r);
+                for from in [net.road(road).a, net.road(road).b] {
+                    let l = lane_of(&net, road, from);
+                    assert_eq!(lane_ends(&net, l as u32).0, road);
+                    assert_eq!(lane_ends(&net, l as u32).1, from);
+                    assert_eq!(
+                        model.lane_heading[l].radians().to_bits(),
+                        net.heading_from(road, from).radians().to_bits(),
+                        "road {r} from {from:?}"
+                    );
+                }
+            }
         }
     }
 

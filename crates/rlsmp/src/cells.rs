@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use vanet_geo::{BBox, Point};
+use vanet_geo::{floor_i64, BBox, Point};
 
 /// A cell id (dense, row-major from the south-west).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -91,11 +91,10 @@ impl CellGrid {
     }
 
     /// Cell containing `p` (outside points clamp to the border cells).
+    #[inline]
     pub fn cell_of(&self, p: Point) -> CellId {
-        let ix =
-            (((p.x - self.origin.x) / self.cell_size).floor() as i64).clamp(0, self.nx as i64 - 1);
-        let iy =
-            (((p.y - self.origin.y) / self.cell_size).floor() as i64).clamp(0, self.ny as i64 - 1);
+        let ix = floor_i64((p.x - self.origin.x) / self.cell_size).clamp(0, self.nx as i64 - 1);
+        let iy = floor_i64((p.y - self.origin.y) / self.cell_size).clamp(0, self.ny as i64 - 1);
         CellId(iy as u32 * self.nx + ix as u32)
     }
 

@@ -15,7 +15,7 @@
 use crate::graph::{IntersectionId, RoadNetwork};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use vanet_geo::{BBox, Cardinal, Point};
+use vanet_geo::{floor_i64, BBox, Cardinal, Point};
 
 /// A level-1 grid id (dense index, row-major from the south-west).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -246,25 +246,53 @@ impl Partition {
         self.l3_centers.len()
     }
 
+    #[inline]
     fn clamp_ix(&self, v: f64, n: u32, min: f64, size: f64) -> u32 {
-        (((v - min) / size).floor() as i64).clamp(0, n as i64 - 1) as u32
+        floor_i64((v - min) / size).clamp(0, n as i64 - 1) as u32
+    }
+
+    /// L1 column and row containing `p`, clamped to the map. Every level's
+    /// cell follows from these two: an L2 column is `ix / 2`, an L3 column
+    /// `ix / 4`.
+    #[inline]
+    fn l1_ix(&self, p: Point) -> (u32, u32) {
+        (
+            self.clamp_ix(p.x, self.nx1, self.origin.x, self.l1_size),
+            self.clamp_ix(p.y, self.ny1, self.origin.y, self.l1_size),
+        )
+    }
+
+    /// The L3 cell holding L1 column `ix`, row `iy`.
+    #[inline]
+    fn l3_at(&self, ix: u32, iy: u32) -> L3Id {
+        L3Id((iy / 4) * self.nx1.div_ceil(2).div_ceil(2) + ix / 4)
     }
 
     /// L1 cell containing `p` (points outside the map clamp to the border cells).
+    #[inline]
     pub fn l1_of(&self, p: Point) -> L1Id {
-        let ix = self.clamp_ix(p.x, self.nx1, self.origin.x, self.l1_size);
-        let iy = self.clamp_ix(p.y, self.ny1, self.origin.y, self.l1_size);
+        let (ix, iy) = self.l1_ix(p);
         L1Id(iy * self.nx1 + ix)
     }
 
     /// L2 cell containing `p`.
     pub fn l2_of(&self, p: Point) -> L2Id {
-        self.l1_to_l2(self.l1_of(p))
+        let (ix, iy) = self.l1_ix(p);
+        L2Id((iy / 2) * self.nx1.div_ceil(2) + ix / 2)
     }
 
     /// L3 cell containing `p`.
+    #[inline]
     pub fn l3_of(&self, p: Point) -> L3Id {
-        self.l2_to_l3(self.l2_of(p))
+        let (ix, iy) = self.l1_ix(p);
+        self.l3_at(ix, iy)
+    }
+
+    /// The L1 and L3 cells containing `p`, from one cell lookup.
+    #[inline]
+    pub fn l1_l3_of(&self, p: Point) -> (L1Id, L3Id) {
+        let (ix, iy) = self.l1_ix(p);
+        (L1Id(iy * self.nx1 + ix), self.l3_at(ix, iy))
     }
 
     /// Parent L2 of an L1 cell.
@@ -498,6 +526,15 @@ mod tests {
     }
 
     #[test]
+    fn odd_map_dims_are_not_multiples_of_four() {
+        let dims: Vec<_> = proptests::ODD_MAPS
+            .iter()
+            .map(|&(w, h)| proptests::partition_of_dims(w, h).l1_dims())
+            .collect();
+        assert_eq!(dims, [(5, 5), (5, 7), (8, 3), (4, 4)]);
+    }
+
+    #[test]
     fn every_l1_belongs_to_exactly_one_parent_chain() {
         let (_, p) = paper_partition(2000.0);
         let mut counts = vec![0u32; p.l2_count()];
@@ -524,6 +561,28 @@ mod proptests {
     fn partition_of(size: f64) -> Partition {
         let net = generate_grid(&GridMapSpec::paper(size), &mut SmallRng::seed_from_u64(0));
         Partition::build(&net, 500.0)
+    }
+
+    /// `(width, height)` of maps whose L1 lattice is 5×5, 5×7 and 8×3 cells
+    /// (not multiples of 4, so the east and north L2/L3 cells are truncated),
+    /// plus the paper's even 4×4 map.
+    pub(super) const ODD_MAPS: [(f64, f64); 4] = [
+        (2300.0, 2300.0),
+        (2300.0, 3300.0),
+        (4000.0, 1300.0),
+        (2000.0, 2000.0),
+    ];
+
+    pub(super) fn partition_of_dims(w: f64, h: f64) -> Partition {
+        let spec = GridMapSpec {
+            width: w,
+            height: h,
+            ..GridMapSpec::paper(w)
+        };
+        Partition::build(
+            &generate_grid(&spec, &mut SmallRng::seed_from_u64(0)),
+            500.0,
+        )
     }
 
     proptest! {
@@ -555,6 +614,36 @@ mod proptests {
                 }
             }
             prop_assert_eq!(owners, 1, "point ({}, {}) has {} owners", pt.x, pt.y, owners);
+        }
+
+        /// The direct `l2_of`, `l3_of` and `l1_l3_of` agree with the
+        /// `l1_of` → `l1_to_l2` → `l2_to_l3` chain for points inside and
+        /// outside the map, on cell edges and off them.
+        #[test]
+        fn direct_lookups_match_the_parent_chain(
+            map in 0usize..4,
+            x in -2_000_000i64..6_000_000,
+            y in -2_000_000i64..6_000_000,
+            snap in 0u32..3,
+        ) {
+            let (w, h) = ODD_MAPS[map];
+            let p = partition_of_dims(w, h);
+            // Millimetre resolution; one draw in three is moved onto the
+            // nearest L1 edge line in x and one in three in y.
+            let (mut px, mut py) = (x as f64 / 1000.0, y as f64 / 1000.0);
+            match snap {
+                1 => px = (px / 500.0).round() * 500.0,
+                2 => py = (py / 500.0).round() * 500.0,
+                _ => {}
+            }
+            let pt = Point::new(px, py);
+            let l1 = p.l1_of(pt);
+            let l2 = p.l1_to_l2(l1);
+            let l3 = p.l2_to_l3(l2);
+            prop_assert!((l2.0 as usize) < p.l2_count() && (l3.0 as usize) < p.l3_count());
+            prop_assert_eq!(p.l2_of(pt), l2, "l2_of({})", pt);
+            prop_assert_eq!(p.l3_of(pt), l3, "l3_of({})", pt);
+            prop_assert_eq!(p.l1_l3_of(pt), (l1, l3), "l1_l3_of({})", pt);
         }
 
         /// On even-dimension maps, the hierarchy is exactly 4:1 at each level

@@ -392,10 +392,16 @@ fn drive<L: LocationService>(
         .unwrap_or_else(|e| panic!("cannot shard this run: {e}"));
     // Shard routing: a delivery belongs to the shard owning the recipient's
     // current L3 region. Control events (ticks, queries, sampling) live on
-    // shard 0; protocol timers stay on the shard that armed them.
+    // shard 0; protocol timers stay on the shard that armed them. One shard
+    // owns every region, so an unsharded run needs no lookup.
     let l3_count = partition.l3_count();
-    let shard_of =
-        |reg: &NodeRegistry, to: NodeId| partition.l3_of(reg.pos(to)).0 as usize % shards;
+    let shard_of = |reg: &NodeRegistry, to: NodeId| {
+        if shards == 1 {
+            0
+        } else {
+            partition.l3_of(reg.pos(to)).0 as usize % shards
+        }
+    };
     let mut query_rng = stream_rng(cfg.seed, StreamId::Queries);
 
     // Mobility ticks across the whole run.
@@ -446,8 +452,10 @@ fn drive<L: LocationService>(
     let mut shard_migrations = 0u64;
     let mut boundary_events = 0u64;
     // Cumulative delivery events attributed to each L3 region (recipient's
-    // region at pop time) — the telemetry shard-balance series.
+    // region at pop time) — the telemetry shard-balance series, so counted
+    // only while telemetry is on.
     let mut region_events = vec![0u64; l3_count];
+    let tally_regions = telemetry.is_some();
     // One vehicle at a time: the same effects in the same order as one call
     // over the fleet, without a fleet-sized effect buffer (tens of MB at city
     // scale). Freeing that buffer raised glibc's mmap threshold by a
@@ -545,9 +553,11 @@ fn drive<L: LocationService>(
                 if current != popped_shard {
                     boundary_events += 1;
                 }
-                let region = partition.l3_of(core.registry.pos(to)).0 as usize;
-                if let Some(slot) = region_events.get_mut(region) {
-                    *slot += 1;
+                if tally_regions {
+                    let region = partition.l3_of(core.registry.pos(to)).0 as usize;
+                    if let Some(slot) = region_events.get_mut(region) {
+                        *slot += 1;
+                    }
                 }
                 queue.set_origin(Some(current));
                 let pending = check
@@ -650,6 +660,18 @@ fn drive<L: LocationService>(
             partition,
             cfg.vehicles,
         );
+    }
+    // The per-region delivery column is counted only while telemetry is on;
+    // when it is, it must account for every delivery the loop handled.
+    if let Some(cs) = check.as_mut().filter(|_| tally_regions) {
+        let tallied: u64 = region_events.iter().sum();
+        let consumed = cs.oracle.consumed_deliveries();
+        if tallied != consumed {
+            cs.oracle.report(
+                "telemetry-tally",
+                format!("per-region delivery column sums to {tallied}, {consumed} delivered"),
+            );
+        }
     }
 
     // Queue self-telemetry and the shard bookkeeping, snapshotted before the
@@ -1018,6 +1040,30 @@ mod tests {
             assert_eq!(plain.query_radio_tx, report.query_radio_tx);
             assert_eq!(plain.queries_succeeded, report.queries_succeeded);
             assert_eq!(plain.drops, report.drops);
+        }
+    }
+
+    /// One shard, telemetry on: the final sample's per-L3 delivery column
+    /// sums to the run's delivery events (the armed oracle's
+    /// `telemetry-tally` check against its delivery ledger), so counting the
+    /// column only while telemetry is on cannot silently zero it. One shard
+    /// has no boundary handoffs.
+    #[test]
+    fn region_delivery_column_counts_every_delivery() {
+        for protocol in [Protocol::Hlsrg, Protocol::Rlsmp] {
+            let cfg = SimConfig {
+                telemetry_interval: Some(SimDuration::from_secs(10)),
+                ..SimConfig::quick_demo(7)
+            };
+            assert_eq!(cfg.shards, 1);
+            let (checked, violation) =
+                run_simulation_checked(&cfg, protocol, &CheckSetup::default());
+            assert!(violation.is_none(), "{protocol:?}: {violation:?}");
+            assert_eq!(checked.boundary_events, 0, "{protocol:?}");
+            let (report, _, samples) = run_simulation_instrumented(&cfg, protocol, false);
+            assert_eq!(report.boundary_events, 0, "{protocol:?}");
+            let column: u64 = samples.last().unwrap().regions.iter().map(|r| r.2).sum();
+            assert!(column > 0, "{protocol:?}: empty delivery column");
         }
     }
 
