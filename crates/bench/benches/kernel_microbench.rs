@@ -1,5 +1,5 @@
 //! Microbenchmarks of the simulation substrate: event queue, spatial hash, GPSR
-//! step, mobility tick, and partition lookups. These bound how far the simulator
+//! step, mobility tick, partition lookups, and city set-up (spawn, partition). These bound how far the simulator
 //! scales beyond the paper's 700 vehicles.
 
 use criterion::{BenchmarkId, Criterion};
@@ -8,7 +8,10 @@ use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 use vanet_des::{EpochExecutor, EventQueue, HeapQueue, SimDuration, SimTime};
 use vanet_geo::{Point, SpatialHash};
-use vanet_mobility::{LightConfig, MobilityConfig, MobilityModel, TrafficLights, VehicleId};
+use vanet_mobility::{
+    spawn_vehicles, LightConfig, MobilityConfig, MobilityModel, RouteConfig, TrafficLights,
+    VehicleId,
+};
 use vanet_net::{
     gpsr_step_scratch, GpsrHeader, GpsrMode, GpsrScratch, GpsrTarget, NodeId, NodeRegistry,
 };
@@ -293,6 +296,33 @@ fn bench_partition(c: &mut Criterion) {
     });
 }
 
+/// City set-up, the fixed cost every city run pays before its first event:
+/// placing 10,000 vehicles on the 12 km map's 18,624 roads, and building its
+/// partition (576 L1, 144 L2 and 36 L3 centres).
+fn bench_city_setup(c: &mut Criterion) {
+    let net = generate_grid(
+        &GridMapSpec::paper(12_000.0),
+        &mut SmallRng::seed_from_u64(0),
+    );
+    let cfg = MobilityConfig::default();
+    c.bench_function("kernel/spawn_vehicles_city", |b| {
+        let mut rng = SmallRng::seed_from_u64(6);
+        b.iter(|| {
+            black_box(spawn_vehicles(
+                &net,
+                &RouteConfig::default(),
+                10_000,
+                cfg.min_speed,
+                cfg.max_speed,
+                &mut rng,
+            ))
+        })
+    });
+    c.bench_function("kernel/partition_build_city", |b| {
+        b.iter(|| black_box(Partition::build(&net, 500.0)))
+    });
+}
+
 fn main() {
     let mut c = Criterion::default().configure_from_args();
     bench_event_queue(&mut c);
@@ -303,5 +333,6 @@ fn main() {
     bench_gpsr(&mut c);
     bench_mobility_tick(&mut c);
     bench_partition(&mut c);
+    bench_city_setup(&mut c);
     c.final_summary();
 }

@@ -393,6 +393,18 @@ impl SpatialHash {
         debug_assert!(self.grid_linear(k).is_some());
     }
 
+    /// The entries of cell `(bx, by)`, empty if it has none. `over` says
+    /// whether the overflow tier holds anything, so the common case skips
+    /// its hash probe.
+    #[inline]
+    fn entries(&self, bx: i64, by: i64, over: bool) -> &[(u64, Point)] {
+        match self.grid_linear((bx, by)) {
+            Some(l) => &self.grid[l],
+            None if over => self.overflow.get(&(bx, by)).map_or(&[], |v| v),
+            None => &[],
+        }
+    }
+
     /// Calls `f(id, position)` for every tracked id strictly within `radius` of
     /// `center`, in unspecified order, allocating nothing. This is the primitive
     /// under every other range query.
@@ -404,18 +416,92 @@ impl SpatialHash {
         let over = !self.overflow.is_empty();
         for bx in (cx - r_cells)..=(cx + r_cells) {
             for by in (cy - r_cells)..=(cy + r_cells) {
-                let entries: &[(u64, Point)] = match self.grid_linear((bx, by)) {
-                    Some(l) => &self.grid[l],
-                    None if over => self.overflow.get(&(bx, by)).map_or(&[], |v| v),
-                    None => &[],
-                };
-                for &(id, p) in entries {
+                for &(id, p) in self.entries(bx, by, over) {
                     if center.distance_sq(p) < r_sq {
                         f(id, p);
                     }
                 }
             }
         }
+    }
+
+    /// Among the ids strictly within `radius` of `center` and not rejected by
+    /// `skip`, the one least by (distance to `target` under `total_cmp`, id),
+    /// with that distance: exactly the minimum a [`for_each_within`] pass
+    /// would find, allocating nothing.
+    ///
+    /// It visits the candidate cells in ascending order of a lower bound on
+    /// their distance to `target`, and stops once a bound exceeds the best
+    /// distance found by more than a rounding tolerance (1e-6 m plus 1e-9 of
+    /// the best distance and of the magnitudes of the coordinates involved,
+    /// far above the few ulps the bound and the distances can err by). A
+    /// pruned cell holds no entry at or below the best distance, so the id
+    /// tie-break never needs it. A non-finite `target` makes the tolerance
+    /// infinite or NaN, which never prunes, so every cell is visited. Radii
+    /// over two cells take the plain pass.
+    ///
+    /// [`for_each_within`]: Self::for_each_within
+    pub fn nearest_to_within(
+        &self,
+        center: Point,
+        radius: f64,
+        target: Point,
+        mut skip: impl FnMut(u64) -> bool,
+    ) -> Option<(u64, f64)> {
+        let mut best: Option<(u64, f64)> = None;
+        let mut consider = |id: u64, p: Point, best: &mut Option<(u64, f64)>| {
+            if skip(id) {
+                return;
+            }
+            let d = p.distance(target);
+            if best.is_none_or(|(bi, bd)| d.total_cmp(&bd).then_with(|| id.cmp(&bi)).is_lt()) {
+                *best = Some((id, d));
+            }
+        };
+        let r_cells = (radius / self.cell).ceil() as i64;
+        if !(0..=2).contains(&r_cells) {
+            self.for_each_within(center, radius, |id, p| consider(id, p, &mut best));
+            return best;
+        }
+        let (cx, cy) = self.key(center);
+        let c = self.cell;
+        // Lower bound on the distance from `target` to each cell's rectangle.
+        let mut cells = [(0.0f64, 0i64, 0i64); 25];
+        let mut n = 0;
+        for bx in (cx - r_cells)..=(cx + r_cells) {
+            for by in (cy - r_cells)..=(cy + r_cells) {
+                let dx = (bx as f64 * c - target.x)
+                    .max(target.x - (bx + 1) as f64 * c)
+                    .max(0.0);
+                let dy = (by as f64 * c - target.y)
+                    .max(target.y - (by + 1) as f64 * c)
+                    .max(0.0);
+                cells[n] = ((dx * dx + dy * dy).sqrt(), bx, by);
+                n += 1;
+            }
+        }
+        let cells = &mut cells[..n];
+        cells.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let scale = target.x.abs()
+            + target.y.abs()
+            + center.x.abs()
+            + center.y.abs()
+            + 2.0 * (r_cells + 1) as f64 * c;
+        let r_sq = radius * radius;
+        let over = !self.overflow.is_empty();
+        for &(bound, bx, by) in cells.iter() {
+            if let Some((_, bd)) = best {
+                if bound > bd + 1e-6 + 1e-9 * (bd + scale) {
+                    break;
+                }
+            }
+            for &(id, p) in self.entries(bx, by, over) {
+                if center.distance_sq(p) < r_sq {
+                    consider(id, p, &mut best);
+                }
+            }
+        }
+        best
     }
 
     /// Writes all ids strictly within `radius` of `center` into `out` (cleared
@@ -732,6 +818,69 @@ mod proptests {
             for id in 0u64..24 {
                 prop_assert_eq!(bat.position(id), seq.position(id));
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The pruned search returns exactly the minimum by (distance to the
+        /// target under `total_cmp`, id) that a brute-force pass over
+        /// `for_each_within` finds. Lattice placements collide and sit at
+        /// equal distances from lattice targets; targets fall inside and
+        /// outside the disk, or are NaN or infinite; `far` moves the lattice
+        /// into the overflow tier; the radius spans 1, 2 and (taking the
+        /// plain pass) 3 cells.
+        #[test]
+        fn nearest_to_within_matches_bruteforce(
+            pts in proptest::collection::vec((0u8..16, 0u8..16), 1..80),
+            far in any::<bool>(),
+            (cx, cy) in (0u8..16, 0u8..16),
+            target in prop_oneof![
+                (-12i8..28, -12i8..28).prop_map(|(x, y)| (x as f64 * 25.0, y as f64 * 25.0)),
+                (-300.0f64..700.0, -300.0f64..700.0),
+                Just((f64::NAN, 0.0)),
+                Just((f64::INFINITY, 100.0)),
+                Just((-100.0, f64::NEG_INFINITY)),
+                Just((f64::INFINITY, f64::NAN)),
+            ],
+            (cell, radius) in (
+                prop_oneof![Just(100.0), Just(150.0)],
+                prop_oneof![Just(100.0), Just(150.0), Just(200.0), Just(300.0)],
+            ),
+            skip_mask in any::<u64>(),
+        ) {
+            let offset = if far { 1e7 } else { 0.0 };
+            let spot = |x: f64, y: f64| Point::new(offset + x, offset + y);
+            let mut h = SpatialHash::new(cell);
+            // An anchor at the origin fixes the core grid there, so a far
+            // lattice lands in the overflow tier.
+            h.upsert(1_000, Point::ORIGIN);
+            for (i, &(x, y)) in pts.iter().enumerate() {
+                h.upsert(i as u64, spot(x as f64 * 25.0, y as f64 * 25.0));
+            }
+            let center = spot(cx as f64 * 25.0, cy as f64 * 25.0);
+            let target = spot(target.0, target.1);
+            let skip = |id: u64| (skip_mask >> (id % 64)) & 1 == 1;
+            let mut want: Option<(u64, f64)> = None;
+            h.for_each_within(center, radius, |id, p| {
+                let d = p.distance(target);
+                if !skip(id)
+                    && want.is_none_or(|(wi, wd)| d.total_cmp(&wd).then(id.cmp(&wi)).is_lt())
+                {
+                    want = Some((id, d));
+                }
+            });
+            let got = h.nearest_to_within(center, radius, target, skip);
+            prop_assert_eq!(
+                got.map(|(i, d)| (i, d.to_bits())),
+                want.map(|(i, d)| (i, d.to_bits())),
+                "center {:?} target {:?} radius {} cell {}",
+                center,
+                target,
+                radius,
+                cell
+            );
         }
     }
 }

@@ -17,7 +17,7 @@ use rand::rngs::SmallRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
 use vanet_geo::{classify_turn, TurnKind};
-use vanet_roadnet::{IntersectionId, RoadClass, RoadId, RoadNetwork};
+use vanet_roadnet::{IntersectionId, Road, RoadClass, RoadId, RoadNetwork};
 
 /// Parameters of the weighted random-turn model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -126,34 +126,51 @@ pub fn spawn_vehicles(
     max_speed: f64,
     rng: &mut SmallRng,
 ) -> Vec<VehicleState> {
-    use crate::vehicle::{VehicleId, VehicleState};
     assert!(
         max_speed >= min_speed && min_speed >= 0.0,
         "invalid speed range"
     );
-    let weights: Vec<f64> = net
-        .roads()
-        .iter()
-        .map(|r| {
-            r.length
-                * match r.class {
-                    RoadClass::Artery => cfg.artery_bias,
-                    RoadClass::Normal => 1.0,
-                }
-        })
-        .collect();
-    let total: f64 = weights.iter().sum();
+    let weights = || net.roads().iter().map(|r| road_weight(r, cfg));
+    let prefix = prefix_sums(weights());
+    spawn_on(
+        net,
+        weights,
+        prefix.as_deref(),
+        n,
+        min_speed,
+        max_speed,
+        rng,
+    )
+}
+
+/// A road's spawn weight, `length × class weight`.
+fn road_weight(r: &Road, cfg: &RouteConfig) -> f64 {
+    r.length
+        * match r.class {
+            RoadClass::Artery => cfg.artery_bias,
+            RoadClass::Normal => 1.0,
+        }
+}
+
+/// [`spawn_vehicles`]' placement loop. `weights` yields the road weights in
+/// road order, and `prefix` is passed on to [`pick_road`] (`None` takes the
+/// scan for every draw).
+fn spawn_on<I: Iterator<Item = f64>>(
+    net: &RoadNetwork,
+    weights: impl Fn() -> I,
+    prefix: Option<&[f64]>,
+    n: usize,
+    min_speed: f64,
+    max_speed: f64,
+    rng: &mut SmallRng,
+) -> Vec<VehicleState> {
+    use crate::vehicle::VehicleId;
+    let total: f64 = weights().sum();
+    let last = net.roads().last().expect("non-empty network").id;
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
-        let mut draw = rng.random_range(0.0..total);
-        let mut road = net.roads().last().expect("non-empty network").id;
-        for (r, &w) in net.roads().iter().zip(weights.iter()) {
-            if draw < w {
-                road = r.id;
-                break;
-            }
-            draw -= w;
-        }
+        let draw = rng.random_range(0.0..total);
+        let road = pick_road(prefix, weights(), draw).map_or(last, |k| net.roads()[k].id);
         let r = net.road(road);
         let from = if rng.random_bool(0.5) { r.a } else { r.b };
         let offset = rng.random_range(0.0..r.length);
@@ -172,6 +189,71 @@ pub fn spawn_vehicles(
         });
     }
     out
+}
+
+/// Prefix sums `p[k] = w[0] + … + w[k-1]` (`n + 1` entries, summed left to
+/// right), or `None` when a weight is negative or non-finite: the bisection in
+/// [`pick_road`] is only proven to match the scan for finite, non-negative
+/// weights. The spawn keeps only this table; the weights themselves are
+/// recomputed for the rare draw that takes the scan.
+fn prefix_sums(weights: impl Iterator<Item = f64>) -> Option<Vec<f64>> {
+    let mut p = Vec::with_capacity(weights.size_hint().0 + 1);
+    let mut acc = 0.0;
+    p.push(acc);
+    for w in weights {
+        if !(w.is_finite() && w >= 0.0) {
+            return None;
+        }
+        acc += w;
+        p.push(acc);
+    }
+    Some(p)
+}
+
+/// The road [`scan_road`] picks for `draw`, found by bisecting `prefix` (from
+/// [`prefix_sums`] over the same `weights`) when the answer is certain, by
+/// the scan otherwise.
+///
+/// The scan subtracts weights from the draw until the remainder falls below
+/// the next weight. With finite, non-negative weights it only continues while
+/// the remainder is at least the weight, so the remainder stays in
+/// `[0, draw]`, each subtraction errs by at most `u·draw` (`u` the unit
+/// roundoff) and after `k` steps the remainder errs by at most `k·u·draw`.
+/// `prefix[k]` errs by at most `k·u·prefix[n]`. The bisection finds the first
+/// `k` with `draw < prefix[k+1]`; when `draw` clears both `prefix[k]` and
+/// `prefix[k+1]` by more than `M = 4·(n+2)·ε·max(draw, prefix[n])` (`ε = 2u`),
+/// every earlier road's test `remainder < w` fails and road `k`'s passes
+/// despite those errors, so `k` is the scan's answer. Otherwise (`k = n`, a
+/// draw within `M` of a prefix sum, a NaN draw, or no `prefix`) the scan runs.
+fn pick_road(
+    prefix: Option<&[f64]>,
+    weights: impl IntoIterator<Item = f64>,
+    draw: f64,
+) -> Option<usize> {
+    if let Some(p) = prefix {
+        let n = p.len() - 1;
+        let k = p[1..].partition_point(|&s| s <= draw);
+        if k < n {
+            let margin = 4.0 * (n + 2) as f64 * f64::EPSILON * draw.max(p[n]);
+            if draw - p[k] > margin && p[k + 1] - draw > margin {
+                return Some(k);
+            }
+        }
+    }
+    scan_road(weights, draw)
+}
+
+/// The first road whose weight exceeds what is left of `draw` after
+/// subtracting every earlier road's weight, or `None` if the draw outlasts
+/// them all (the caller then takes the last road).
+fn scan_road(weights: impl IntoIterator<Item = f64>, mut draw: f64) -> Option<usize> {
+    for (k, w) in weights.into_iter().enumerate() {
+        if draw < w {
+            return Some(k);
+        }
+        draw -= w;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -269,5 +351,115 @@ mod tests {
             choose_next_road(&net, &RouteConfig::default(), c, r, &mut rng),
             r
         );
+    }
+}
+
+#[cfg(test)]
+mod pick_road_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+    use vanet_roadnet::{generate_grid, GridMapSpec};
+
+    /// `x` moved by `k` ulps, up for positive `k`, down for negative.
+    fn ulps(x: f64, k: i32) -> f64 {
+        (0..k.unsigned_abs()).fold(x, |y, _| if k > 0 { y.next_up() } else { y.next_down() })
+    }
+
+    /// Road weights: zeros and repeats (a small palette) and magnitudes from
+    /// 1e-6 to 1e6.
+    fn weight() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(0.1),
+            Just(125.0),
+            Just(1250.0),
+            (-6.0f64..6.0).prop_map(|e| 10f64.powf(e)),
+            (-6.0f64..6.0).prop_map(|e| 10f64.powf(e)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Bisection picks the road the subtraction scan picks, for random
+        /// draws and for draws within 4 ulps of every prefix sum, which sit
+        /// inside the margin and so must take the scan on both sides.
+        #[test]
+        fn bisection_matches_scan(
+            weights in proptest::collection::vec(weight(), 1..48),
+            fracs in proptest::collection::vec(0.0f64..1.0, 0..16),
+        ) {
+            let prefix =
+                prefix_sums(weights.iter().copied()).expect("finite, non-negative weights");
+            let total: f64 = weights.iter().sum();
+            let mut draws: Vec<f64> = fracs.iter().map(|f| f * total).collect();
+            for &p in &prefix {
+                draws.extend((-4..=4).map(|k| ulps(p, k)));
+            }
+            for d in draws {
+                prop_assert_eq!(
+                    pick_road(Some(&prefix), weights.iter().copied(), d),
+                    scan_road(weights.iter().copied(), d),
+                    "draw {:e} over {:?}",
+                    d,
+                    weights
+                );
+            }
+        }
+
+        /// A negative or non-finite weight leaves no prefix table, so every
+        /// draw takes the scan.
+        #[test]
+        fn unusable_weights_take_the_scan(
+            weights in proptest::collection::vec(weight(), 1..24),
+            at in any::<u16>(),
+            bad in prop_oneof![
+                Just(-1.0),
+                Just(-1e-300),
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+            ],
+        ) {
+            let mut weights = weights;
+            let at = at as usize % weights.len();
+            weights[at] = bad;
+            prop_assert!(prefix_sums(weights.iter().copied()).is_none());
+        }
+    }
+
+    /// Run with `cargo test --release -p vanet-mobility -- --ignored`. On
+    /// the four benchmark maps (city 12 km / 10k vehicles, 4 km / 2k,
+    /// 2 km / 600, and 2.3 km / 700, whose L1 dimensions are not multiples
+    /// of 4), for 40 seeds each, the bisecting spawn places every vehicle
+    /// exactly where the scanning one does.
+    #[test]
+    #[ignore = "city scale; a few seconds in release"]
+    fn spawn_matches_scan_at_city_scale() {
+        let cfg = RouteConfig::default();
+        let (lo, hi) = (10.0 / 3.6, 60.0 / 3.6);
+        for (size, n) in [
+            (12_000.0, 10_000),
+            (4_000.0, 2_000),
+            (2_000.0, 600),
+            (2_300.0, 700),
+        ] {
+            let net = generate_grid(&GridMapSpec::paper(size), &mut SmallRng::seed_from_u64(0));
+            let weights = || net.roads().iter().map(|r| road_weight(r, &cfg));
+            for seed in 0..40 {
+                let got = spawn_vehicles(&net, &cfg, n, lo, hi, &mut SmallRng::seed_from_u64(seed));
+                let want = spawn_on(
+                    &net,
+                    weights,
+                    None,
+                    n,
+                    lo,
+                    hi,
+                    &mut SmallRng::seed_from_u64(seed),
+                );
+                assert!(got == want, "{size} m map, seed {seed}");
+            }
+        }
     }
 }

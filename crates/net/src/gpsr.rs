@@ -110,8 +110,7 @@ pub enum GpsrFailure {
 /// allocation-free.
 #[derive(Debug, Default)]
 pub struct GpsrScratch {
-    /// The greedy pass's candidates (neighbors minus `exclude`), unsorted —
-    /// recovery mode ranks them without a second grid scan.
+    /// Recovery mode's candidates (neighbors minus `exclude`), unsorted.
     neighbors: Vec<NodeId>,
 }
 
@@ -172,25 +171,13 @@ pub fn gpsr_step_scratch(
         return GpsrStep::Fail(GpsrFailure::TtlExpired);
     }
 
-    // Greedy: the neighbor nearest the destination, ties to the lower id, in
-    // one pass over the grid buckets. The (distance, id) order is total, so the
-    // order the buckets yield neighbors in cannot change the winner. The pass
-    // also records every candidate for recovery mode.
+    // Greedy: the neighbor nearest the destination, ties to the lower id. The
+    // search visits the grid cells nearest the destination first and prunes
+    // the rest; the (distance, id) order is total, so it finds the minimum a
+    // pass over every neighbor would.
     let dst_pos = header.dst_pos;
-    let mut best: Option<(NodeId, f64)> = None;
-    let neighbors = &mut scratch.neighbors;
-    neighbors.clear();
-    reg.for_each_within(my_pos, range, |n, p| {
-        if n == me || exclude.contains(&n) {
-            return;
-        }
-        neighbors.push(n);
-        let d = p.distance(dst_pos);
-        if best.is_none_or(|(bn, bd)| d.total_cmp(&bd).then_with(|| n.cmp(&bn)).is_lt()) {
-            best = Some((n, d));
-        }
-    });
-    let Some((n, d)) = best else {
+    let skip = |n: NodeId| n == me || exclude.contains(&n);
+    let Some((n, d)) = reg.nearest_to_within(my_pos, range, dst_pos, skip) else {
         return GpsrStep::Fail(GpsrFailure::Isolated);
     };
     let my_dist = my_pos.distance(dst_pos);
@@ -211,6 +198,16 @@ pub fn gpsr_step_scratch(
         // The perimeter walk is orbiting an empty target region: undeliverable.
         return GpsrStep::Fail(GpsrFailure::NoProgress);
     }
+    // Recovery (a few in 10^5 steps on the city map) lists the candidates in
+    // a pass of its own; its (angle, id) ranking is total, so their order is
+    // irrelevant.
+    let neighbors = &mut scratch.neighbors;
+    neighbors.clear();
+    reg.for_each_within(my_pos, range, |n, _| {
+        if !skip(n) {
+            neighbors.push(n);
+        }
+    });
     let neighbors = &scratch.neighbors;
     let entry_dist = match header.mode {
         GpsrMode::Greedy => my_dist,

@@ -199,6 +199,26 @@ impl NodeRegistry {
             .for_each_within(center, radius, |raw, p| f(NodeId(raw as u32), p));
     }
 
+    /// Among the nodes strictly within `radius` of `center` not rejected by
+    /// `skip`, the one nearest `target` (ties to the lower id), with its
+    /// distance — the minimum a [`for_each_within`](Self::for_each_within)
+    /// pass finds, with the grid cells nearest `target` visited first and
+    /// the rest pruned (see [`SpatialHash::nearest_to_within`]).
+    ///
+    /// [`SpatialHash::nearest_to_within`]: vanet_geo::SpatialHash::nearest_to_within
+    #[inline]
+    pub fn nearest_to_within(
+        &self,
+        center: Point,
+        radius: f64,
+        target: Point,
+        mut skip: impl FnMut(NodeId) -> bool,
+    ) -> Option<(NodeId, f64)> {
+        self.index
+            .nearest_to_within(center, radius, target, |raw| skip(NodeId(raw as u32)))
+            .map(|(raw, d)| (NodeId(raw as u32), d))
+    }
+
     /// The smallest-id node strictly within `radius` of `center` that
     /// satisfies `pred(node, position)` — the same node as
     /// `nodes_within(center, radius, None).into_iter().find(..)`, found in one

@@ -5,6 +5,7 @@
 //! HLSRG selects as grid boundaries) or a **normal road**. The digital map every GPS
 //! carries in the paper is exactly this structure.
 
+use crate::nearest::BucketGrid;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use vanet_geo::{BBox, Heading, Point, Segment};
@@ -245,6 +246,27 @@ impl RoadNetwork {
             }
         }
         self.intersections[best.1].id
+    }
+
+    /// [`nearest_intersection`](Self::nearest_intersection) of each point,
+    /// in order: the same answers, from a bucket grid built once for the
+    /// batch instead of a scan per point. A point outside the network's
+    /// bounding box, or any point when an intersection position is not
+    /// finite, takes the scan.
+    pub fn nearest_intersections(&self, points: &[Point]) -> Vec<IntersectionId> {
+        let grid = BucketGrid::build(&self.intersections);
+        points
+            .iter()
+            .map(|&p| {
+                match grid
+                    .as_ref()
+                    .and_then(|g| g.nearest(&self.intersections, p))
+                {
+                    Some(i) => self.intersections[i].id,
+                    None => self.nearest_intersection(p),
+                }
+            })
+            .collect()
     }
 
     /// The road nearest to `p` (ties broken by lowest id), with its distance.

@@ -18,6 +18,7 @@ pub mod artery_select;
 pub mod generators;
 pub mod graph;
 pub mod io;
+mod nearest;
 pub mod partition;
 
 pub use artery_select::{

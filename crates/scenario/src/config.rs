@@ -173,6 +173,38 @@ impl SimConfig {
             ensure(s != d, q, "self-queries are meaningless")?;
         }
         ensure(self.l1_size > 0.0, "l1_size", "positive L1 size required")?;
+        let mob = &self.mobility;
+        ensure(
+            !mob.tick.is_zero(),
+            "mobility.tick",
+            "mobility tick must be positive",
+        )?;
+        let non_neg = |v: f64| v.is_finite() && v >= 0.0;
+        ensure(
+            non_neg(mob.min_speed),
+            "mobility.min_speed",
+            "speeds must be finite and non-negative",
+        )?;
+        ensure(
+            non_neg(mob.max_speed),
+            "mobility.max_speed",
+            "speeds must be finite and non-negative",
+        )?;
+        ensure(
+            mob.min_speed <= mob.max_speed,
+            "mobility.min_speed",
+            "min_speed must not exceed max_speed",
+        )?;
+        ensure(
+            non_neg(mob.route.artery_bias),
+            "mobility.route.artery_bias",
+            "route weights must be finite and non-negative",
+        )?;
+        ensure(
+            non_neg(mob.route.straight_bias),
+            "mobility.route.straight_bias",
+            "route weights must be finite and non-negative",
+        )?;
         let m = &self.map;
         ensure(
             self.map_text.is_some()
@@ -230,6 +262,75 @@ mod tests {
     fn protocol_names() {
         assert_eq!(Protocol::Hlsrg.name(), "HLSRG");
         assert_eq!(Protocol::Rlsmp.name(), "RLSMP");
+    }
+
+    /// `check` rejects `bad` naming `field`.
+    fn rejects(bad: impl FnOnce(&mut SimConfig), field: &str) {
+        let mut c = SimConfig::paper_2km(10, 0);
+        bad(&mut c);
+        assert_eq!(c.check().map_err(|e| e.field), Err(field));
+    }
+
+    #[test]
+    fn zero_mobility_tick_rejected() {
+        rejects(|c| c.mobility.tick = SimDuration::ZERO, "mobility.tick");
+    }
+
+    #[test]
+    fn negative_speed_rejected() {
+        rejects(|c| c.mobility.min_speed = -1.0, "mobility.min_speed");
+    }
+
+    #[test]
+    fn non_finite_speed_rejected() {
+        rejects(|c| c.mobility.max_speed = f64::NAN, "mobility.max_speed");
+        rejects(
+            |c| c.mobility.max_speed = f64::INFINITY,
+            "mobility.max_speed",
+        );
+    }
+
+    #[test]
+    fn inverted_speed_range_rejected() {
+        rejects(
+            |c| {
+                c.mobility.min_speed = 20.0;
+                c.mobility.max_speed = 10.0;
+            },
+            "mobility.min_speed",
+        );
+    }
+
+    #[test]
+    fn negative_artery_bias_rejected() {
+        rejects(
+            |c| c.mobility.route.artery_bias = -1.0,
+            "mobility.route.artery_bias",
+        );
+    }
+
+    #[test]
+    fn non_finite_artery_bias_rejected() {
+        rejects(
+            |c| c.mobility.route.artery_bias = f64::INFINITY,
+            "mobility.route.artery_bias",
+        );
+    }
+
+    #[test]
+    fn negative_straight_bias_rejected() {
+        rejects(
+            |c| c.mobility.route.straight_bias = -0.5,
+            "mobility.route.straight_bias",
+        );
+    }
+
+    #[test]
+    fn non_finite_straight_bias_rejected() {
+        rejects(
+            |c| c.mobility.route.straight_bias = f64::NAN,
+            "mobility.route.straight_bias",
+        );
     }
 
     #[test]

@@ -235,7 +235,8 @@ fn config_of(flags: &Flags) -> SimConfig {
     cfg.threads = get(flags, "threads", cfg.shards);
     if let Err(e) = cfg.check() {
         // Every field `check` can reject here came from a flag: the map from
-        // `--map-size`, any other from the flag of the same name.
+        // `--map-size`, any other from the flag of the same name. (The
+        // `mobility.*` settings have no flags and keep their valid defaults.)
         let flag = if e.field == "map" {
             "map-size"
         } else {
