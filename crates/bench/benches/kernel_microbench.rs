@@ -6,6 +6,7 @@ use criterion::{BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
+use std::num::NonZeroU64;
 use vanet_des::{EpochExecutor, EventQueue, HeapQueue, SimDuration, SimTime};
 use vanet_geo::{Point, SpatialHash};
 use vanet_mobility::{
@@ -39,7 +40,7 @@ fn bench_event_queue(c: &mut Criterion) {
 
 /// The classic hold model: fill the queue to a steady-state depth, then
 /// alternate pop-one/schedule-one so the depth stays constant. This isolates
-/// the per-operation cost at a given depth, for both the radix-heap kernel
+/// the per-operation cost at a given depth, for both the sorted-run kernel
 /// and the retired binary-heap reference.
 fn bench_event_queue_hold(c: &mut Criterion) {
     const HOLD_OPS: usize = 1_000;
@@ -58,20 +59,20 @@ fn bench_event_queue_hold(c: &mut Criterion) {
         // HOLD_OPS events and reinserts one per pop, so the depth — and with
         // it the per-operation cost being measured — stays constant while
         // the one-time fill stays out of the timing.
-        let mut radix = EventQueue::new();
+        let mut runs = EventQueue::new();
         let mut heap = HeapQueue::with_capacity(depth);
         for &t in &initial {
-            radix.schedule_at(SimTime::from_micros(t), t);
+            runs.schedule_at(SimTime::from_micros(t), t);
             heap.schedule_at(SimTime::from_micros(t), t);
         }
 
-        group.bench_with_input(BenchmarkId::new("radix", depth), &depth, |b, _| {
+        group.bench_with_input(BenchmarkId::new("runs", depth), &depth, |b, _| {
             b.iter(|| {
                 let mut acc = 0u64;
                 for &d in &delays {
-                    let (_, e) = radix.pop().unwrap();
+                    let (_, e) = runs.pop().unwrap();
                     acc = acc.wrapping_add(e);
-                    radix.schedule_after(SimDuration::from_micros(d), d);
+                    runs.schedule_after(SimDuration::from_micros(d), d);
                 }
                 black_box(acc)
             })
@@ -91,27 +92,49 @@ fn bench_event_queue_hold(c: &mut Criterion) {
     group.finish();
 }
 
+/// A queued delivery the size of the runner's: a 24-byte event whose niche
+/// lets the executor's shard-tagged `Option` stay at 32 bytes, so a pending
+/// event is a 40-byte chunk item, as in a city run.
+#[derive(Clone, Copy)]
+struct Delivery {
+    body: [u64; 2],
+    node: NonZeroU64,
+}
+
+const _: () = assert!(EventQueue::<(usize, Delivery)>::SLOT_BYTES == 40);
+
+impl Delivery {
+    fn new(i: u64) -> Self {
+        Delivery {
+            body: [i; 2],
+            node: NonZeroU64::MIN.saturating_add(i),
+        }
+    }
+}
+
 /// The t = 0 join burst of a 10k-vehicle city: 410k radio receptions, each a
-/// 168-byte event (the size of an HLSRG event), all due within 2 ms, scheduled
-/// and then drained. This is where moving payloads costs most: a queue that
-/// copies events between internal structures pays it 410k times over.
+/// runner-sized event, all due within 2 ms, scheduled and then drained; and
+/// the same burst followed by the steady state the city settles into, where
+/// a pop schedules a one-hop broadcast's run of 40 receptions.
 fn bench_event_queue_burst(c: &mut Criterion) {
     const EVENTS: usize = 410_000;
+    const FAN_OUT: u64 = 40;
     let mut rng = SmallRng::seed_from_u64(11);
     let times: Vec<u64> = (0..EVENTS).map(|_| rng.random_range(0..2_000)).collect();
+    let jitter: Vec<u64> = (0..4_096).map(|_| rng.random_range(1..2_000)).collect();
     let mut group = c.benchmark_group("kernel/event_queue_burst");
     // One queue across iterations, reset in between, as a pooled worker
     // reuses it across runs.
-    let mut q: EventQueue<[u64; 21]> = EventQueue::new();
+    let mut q: EventQueue<(usize, Delivery)> = EventQueue::new();
     group.bench_function("queue", |b| {
         b.iter(|| {
             q.reset();
             for (i, &t) in times.iter().enumerate() {
-                q.schedule_at(SimTime::from_micros(t), [i as u64; 21]);
+                q.schedule_at(SimTime::from_micros(t), (0, Delivery::new(i as u64)));
             }
             let mut acc = 0u64;
-            while let Some((_, e)) = q.pop() {
-                acc = acc.wrapping_add(e[20]);
+            while let Some((_, (_, e))) = q.pop() {
+                acc = acc.wrapping_add(e.body[1] ^ e.node.get());
             }
             black_box(acc)
         })
@@ -121,11 +144,35 @@ fn bench_event_queue_burst(c: &mut Criterion) {
         b.iter(|| {
             let mut ex = EpochExecutor::new(1, SimDuration::from_millis(1)).unwrap();
             for (i, &t) in times.iter().enumerate() {
-                ex.schedule_at(0, SimTime::from_micros(t), [i as u64; 21]);
+                ex.schedule_at(0, SimTime::from_micros(t), Delivery::new(i as u64));
             }
             let mut acc = 0u64;
             while let Some((_, _, e)) = ex.pop() {
-                acc = acc.wrapping_add(e[20]);
+                acc = acc.wrapping_add(e.body[1] ^ e.node.get());
+            }
+            black_box(acc)
+        })
+    });
+    // City-shaped: after the burst, every 40th pop broadcasts to 40
+    // receivers, until as many follow-ups as burst events have been
+    // scheduled.
+    group.bench_function("city", |b| {
+        b.iter(|| {
+            q.reset();
+            for (i, &t) in times.iter().enumerate() {
+                q.schedule_at(SimTime::from_micros(t), (0, Delivery::new(i as u64)));
+            }
+            let (mut acc, mut pops, mut follow_ups) = (0u64, 0u64, 0usize);
+            while let Some((_, (_, e))) = q.pop() {
+                acc = acc.wrapping_add(e.body[1] ^ e.node.get());
+                pops += 1;
+                if pops % FAN_OUT == 0 && follow_ups < EVENTS {
+                    for k in 0..FAN_OUT {
+                        let d = jitter[(pops + k) as usize % jitter.len()];
+                        q.schedule_after(SimDuration::from_micros(d), (0, Delivery::new(pops)));
+                    }
+                    follow_ups += FAN_OUT as usize;
+                }
             }
             black_box(acc)
         })

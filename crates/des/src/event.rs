@@ -5,96 +5,95 @@
 //! deterministic — two events at the same time always fire in the order they were
 //! scheduled, independent of the queue's internal layout.
 //!
-//! # A monotone radix heap over a payload slab
+//! # Sorted runs in fixed chunks
 //!
-//! [`EventQueue`] orders 128-bit keys `(time_us << 64) | seq` in a radix heap
-//! (Ahuja, Mehlhorn, Orlin and Tarjan, "Faster Algorithms for the Shortest
-//! Path Problem", JACM 1990). Keys are unique, because every schedule draws a
-//! fresh sequence number, so the key order *is* the `(time, seq)` order.
+//! A simulation schedules in bursts: each handler call lays down its follow-up
+//! events (a one-hop broadcast, one delivery per receiver) between two pops.
+//! [`EventQueue`] keeps each burst together as a **run**.
 //!
-//! * **Payloads live once, in a chunked slab**: fixed chunks of
-//!   [`CHUNK_SLOTS`] payloads each, whose freed slots go on a LIFO free list. A
-//!   schedule writes the payload into a slot and a pop takes it out;
-//!   everything the heap moves around is a 24-byte `(time, seq, slot)` entry,
-//!   never the event itself. The slab grows one chunk at a time and never
-//!   moves a payload, so it needs no pre-size.
-//! * **Buckets by the highest differing bit**: with `last` the key of the last
-//!   popped event, a key `k` lives in bucket `i` when bit `i` is the highest
-//!   bit in which `k` and `last` differ (bucket 0 also takes `k == last`, which
-//!   only the first key of a fresh queue can hit). Every key in bucket `i` is
-//!   smaller than every key in bucket `j > i`, and a `u128` occupancy mask
-//!   finds the lowest non-empty bucket in one instruction.
-//! * **A pop** takes the minimum of the lowest non-empty bucket, makes it the
-//!   new `last`, and redistributes the rest of that bucket: each of them now
-//!   differs from `last` below the old bucket index, so it moves strictly
-//!   down. A key moves at most 128 times in its life, which bounds the
-//!   amortized pop cost; in practice a same-instant burst of `k` events costs
-//!   O(log k) moves per event.
-//! * **The head is cached**: the least key a redistribution moves is the new
-//!   head (the buckets below were empty), and a schedule only has to compare
-//!   against the cached head.
+//! * **The open run**: every schedule appends `(time, event)` to the one open
+//!   run. The next pop or bounded pop *seals* it: a stable sort by time, after
+//!   which the run enters a binary heap as a single entry.
+//! * **Fixed chunks**: run items are written into chunks of [`CHUNK_SLOTS`]
+//!   slots. A run never spans chunks — a schedule into a full chunk seals the
+//!   open run first and continues in a fresh chunk. A chunk counts its live
+//!   items and returns to a free pool when the last one pops, so storage grows
+//!   one chunk at a time and never moves an event.
+//! * **A pop** takes the next item of the head run and re-keys that run to its
+//!   following item (one sift-down); an exhausted run leaves the heap.
 //!
-//! The heap is *monotone*: it needs every new key to be larger than the last
-//! popped one. A simulation guarantees that — a schedule's time is never
-//! before the clock (asserted), and its sequence number is fresh. A declined
-//! [`EventQueue::pop_if_at_or_before`] only reads the lowest bucket, so `last`
-//! stays put and a later schedule between the clock and the declined head is
-//! still legal.
+//! # Why the pop order is exact
+//!
+//! A run's events hold the consecutive sequence numbers `[base, base + n)`,
+//! because nothing else is scheduled while a run is open, and different runs'
+//! ranges do not overlap. The heap key of a run is `(time of its next item,
+//! base)`. Two runs' keys therefore compare exactly as their next events'
+//! `(time, seq)` keys do: on a time tie, every sequence number of the run with
+//! the lower base is below every one of the other. Within a run the stable
+//! sort keeps scheduling order among equal times, which is the sequence order.
+//! So the heap's head is always the least pending `(time, seq)`, and the pop
+//! stream is the one a binary heap over single events gives, event for event.
+//! The heap never assumes its new keys are above the clock, so a declined
+//! [`EventQueue::pop_if_at_or_before`] followed by a schedule between the
+//! clock and the declined head is ordered like any other schedule.
 //!
 //! The previous `BinaryHeap` kernel survives as [`crate::HeapQueue`], the
 //! reference implementation the differential tests drive in lockstep.
 
 use crate::time::{SimDuration, SimTime};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-/// Radix buckets: one per bit of the 128-bit key.
-const BUCKETS: usize = 128;
-
-/// Payload slots per slab chunk. At the simulation runner's 32-byte slot a
-/// chunk is 64 KiB, under glibc's smallest mmap threshold (128 KiB), so no
-/// chunk is mapped on its own. A slab grown as one 10–20 MB block would be,
-/// and freeing it would raise glibc's dynamic mmap threshold to its size for
-/// the rest of the process. That bound holds only for slots of 64 bytes or
-/// less: the count is fixed, not derived from the slot size, so
+/// Item slots per chunk. At the simulation runner's 40-byte item a chunk is
+/// 80 KiB, under glibc's smallest mmap threshold (128 KiB), so no chunk is
+/// mapped on its own. That bound holds only for items of 64 bytes or less: the
+/// count is fixed, not derived from the item size, so
 /// [`QueueTelemetry::resizes`] counts the same growths for every event type,
-/// and a larger slot makes larger chunks. The benchmark's traced driver,
-/// whose events hold timers inline in 104-byte slots, is the known
-/// exception: its chunks are about 208 KiB and each is mapped on its own.
+/// and a larger item makes larger chunks. The benchmark's traced driver,
+/// whose events hold timers inline, is the known exception: its chunks are
+/// over 128 KiB and each is mapped on its own.
 pub const CHUNK_SLOTS: usize = 2048;
 
-/// One pending event in the radix heap: its key halves and the slab slot that
-/// holds its payload.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
+// A run addresses its chunk's slots with `u16`s.
+const _: () = assert!(CHUNK_SLOTS <= u16::MAX as usize);
+
+/// One sealed run, as the heap holds it: the key of its next item and where
+/// its remaining items lie. Runs compare field by field, and no two live runs
+/// share a `base`, so the order is the `(time, base)` order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Run {
+    /// Time of the run's next item.
     time: u64,
-    seq: u64,
-    slot: u32,
+    /// Sequence number of the run's first event. The run holds
+    /// `[base, base + n)`, so `(time, base)` orders runs as their next events.
+    base: u64,
+    chunk: u32,
+    /// Slot of the run's next item in its chunk.
+    next: u16,
+    /// One past the run's last slot.
+    end: u16,
 }
 
-impl Entry {
-    /// The `(time, seq)` order as one integer.
-    #[inline]
-    fn key(&self) -> u128 {
-        ((self.time as u128) << 64) | self.seq as u128
-    }
+/// A fixed block of run items. `items` is allocated with room for exactly
+/// [`CHUNK_SLOTS`] and never grows past it; a popped item's event is taken,
+/// leaving `None` until the chunk empties and is cleared.
+#[derive(Debug)]
+struct Chunk<E> {
+    items: Vec<(u64, Option<E>)>,
+    /// Items written and not yet popped.
+    live: usize,
 }
 
-/// The bucket of `key` relative to the last popped key: the index of the
-/// highest bit in which they differ (0 also when they are equal).
-#[inline]
-fn bucket_of(key: u128, last: u128) -> usize {
-    (BUCKETS - (key ^ last).leading_zeros() as usize).saturating_sub(1)
-}
-
-/// Self-telemetry of a queue: sizing and scan statistics since construction (or
-/// the last [`EventQueue::reset`]). Surfaced per run by the `bench` subcommand.
+/// Self-telemetry of a queue: sizing statistics since construction (or the
+/// last [`EventQueue::reset`]). Surfaced per run by the `bench` subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueTelemetry {
     /// Largest number of pending events ever held.
     pub peak_depth: usize,
-    /// Times the payload slab grew: each growth adds one chunk of
-    /// [`CHUNK_SLOTS`] slots and moves no payload.
+    /// Chunks allocated: each adds [`CHUNK_SLOTS`] slots and moves no event.
     pub resizes: u64,
-    /// Most keys any single pop redistributed to lower buckets.
+    /// Longest run sealed: the most events scheduled between two pops (or
+    /// into one chunk).
     pub max_pop_scan: u64,
 }
 
@@ -102,30 +101,23 @@ pub struct QueueTelemetry {
 ///
 /// This is the heart of the kernel. Protocol and mobility layers push future work in
 /// with [`EventQueue::schedule_at`] / [`EventQueue::schedule_after`]; the driver pops
-/// it back out in global time order. Internally a monotone radix heap of keys over
-/// a payload slab — see the module docs for the structure and its invariants.
+/// it back out in global time order. Internally a binary heap of sorted runs over
+/// fixed chunks — see the module docs for the structure and why its order is exact.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Bucket `i` holds the entries whose key first differs from `last` at bit `i`.
-    buckets: [Vec<Entry>; BUCKETS],
-    /// Bit `i` is set when bucket `i` is non-empty.
-    occupied: u128,
-    /// Key of the last popped event (0 before the first pop); every pending
-    /// key is at least this.
-    last: u128,
-    /// Payload storage: slot `s` (an [`Entry::slot`]) is entry
-    /// `s % CHUNK_SLOTS` of chunk `s / CHUNK_SLOTS`; `None` marks a free slot.
-    /// Every chunk is allocated with room for exactly `CHUNK_SLOTS` payloads
-    /// and filled in order, so it never reallocates.
-    chunks: Vec<Vec<Option<E>>>,
-    /// Slots handed out since construction or the last reset: the next fresh
-    /// slot when the free list is empty.
-    filled: usize,
-    /// Free slab slots, reused last-freed first.
+    /// Every sealed run with items left, least next key on top.
+    runs: BinaryHeap<Reverse<Run>>,
+    chunks: Vec<Chunk<E>>,
+    /// Chunks with no live item, other than the open chunk.
     free: Vec<u32>,
-    /// Bucket and index of the earliest pending entry, kept current by every
-    /// schedule and pop; meaningless while the queue is empty.
-    head: (usize, usize),
+    /// The chunk the open run is written into (`u32::MAX` before the first).
+    open: u32,
+    /// Items in the open run: the last `open_len` items of the open chunk.
+    open_len: usize,
+    /// Earliest time in the open run; meaningless while it is empty.
+    open_min: u64,
+    /// Time of the last popped event.
+    now: u64,
     len: usize,
     next_seq: u64,
     peak_depth: usize,
@@ -140,20 +132,20 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Bytes one pending event occupies in the payload slab.
-    pub const SLOT_BYTES: usize = std::mem::size_of::<Option<E>>();
+    /// Bytes one pending event occupies in its chunk: its time and payload.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<(u64, Option<E>)>();
 
     /// Creates an empty queue with the clock at t = 0. It allocates nothing
     /// until the first schedule.
     pub fn new() -> Self {
         EventQueue {
-            buckets: std::array::from_fn(|_| Vec::new()),
-            occupied: 0,
-            last: 0,
+            runs: BinaryHeap::new(),
             chunks: Vec::new(),
-            filled: 0,
             free: Vec::new(),
-            head: (0, 0),
+            open: u32::MAX,
+            open_len: 0,
+            open_min: 0,
+            now: 0,
             len: 0,
             next_seq: 0,
             peak_depth: 0,
@@ -165,7 +157,7 @@ impl<E> EventQueue<E> {
     /// The current simulation time: the timestamp of the last event popped.
     #[inline]
     pub fn now(&self) -> SimTime {
-        SimTime::from_micros((self.last >> 64) as u64)
+        SimTime::from_micros(self.now)
     }
 
     /// Number of events waiting to fire.
@@ -186,7 +178,7 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
-    /// Sizing and scan statistics since construction or the last reset.
+    /// Sizing statistics since construction or the last reset.
     pub fn telemetry(&self) -> QueueTelemetry {
         QueueTelemetry {
             peak_depth: self.peak_depth,
@@ -195,36 +187,10 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Payload slots currently allocated — what [`EventQueue::reset`]
-    /// preserves for reuse (diagnostics and tests).
+    /// Item slots currently allocated — what [`EventQueue::reset`] preserves
+    /// for reuse (diagnostics and tests).
     pub fn storage_capacity(&self) -> usize {
         self.chunks.len() * CHUNK_SLOTS
-    }
-
-    /// The payload slot `slot`, mutably.
-    #[inline]
-    fn slot_mut(&mut self, slot: u32) -> &mut Option<E> {
-        let s = slot as usize;
-        &mut self.chunks[s / CHUNK_SLOTS][s % CHUNK_SLOTS]
-    }
-
-    /// Stores `event` in a free slot — the last freed, else the next fresh
-    /// one, adding a chunk when the last is full — and returns the slot.
-    #[inline]
-    fn store(&mut self, event: E) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            *self.slot_mut(slot) = Some(event);
-            return slot;
-        }
-        let slot = u32::try_from(self.filled).expect("over 2^32 pending events");
-        let chunk = self.filled / CHUNK_SLOTS;
-        if chunk == self.chunks.len() {
-            self.chunks.push(Vec::with_capacity(CHUNK_SLOTS));
-            self.resizes += 1;
-        }
-        self.chunks[chunk].push(Some(event));
-        self.filled += 1;
-        slot
     }
 
     /// Schedules `event` to fire at absolute time `at`.
@@ -240,32 +206,64 @@ impl<E> EventQueue<E> {
             self.now(),
             at
         );
-        let entry = Entry {
-            time: at.as_micros(),
-            seq: self.next_seq,
-            slot: self.store(event),
-        };
-        self.next_seq += 1;
-        let key = entry.key();
-        let pos = self.push(entry);
-        if self.head_entry().is_none_or(|h| key < h.key()) {
-            self.head = pos;
+        let time = at.as_micros();
+        if self
+            .chunks
+            .get(self.open as usize)
+            .is_none_or(|c| c.items.len() == CHUNK_SLOTS)
+        {
+            self.seal();
+            self.open = self.take_chunk();
         }
+        let chunk = &mut self.chunks[self.open as usize];
+        chunk.items.push((time, Some(event)));
+        chunk.live += 1;
+        if self.open_len == 0 || time < self.open_min {
+            self.open_min = time;
+        }
+        self.open_len += 1;
+        self.next_seq += 1;
         self.len += 1;
         if self.len > self.peak_depth {
             self.peak_depth = self.len;
         }
     }
 
-    /// Files `entry` in its bucket relative to the current `last`, and
-    /// returns where it went.
-    #[inline]
-    fn push(&mut self, entry: Entry) -> (usize, usize) {
-        let b = bucket_of(entry.key(), self.last);
-        let bucket = &mut self.buckets[b];
-        bucket.push(entry);
-        self.occupied |= 1 << b;
-        (b, bucket.len() - 1)
+    /// An empty chunk for the next open run: a pooled one, else a new one.
+    fn take_chunk(&mut self) -> u32 {
+        if let Some(c) = self.free.pop() {
+            return c;
+        }
+        self.chunks.push(Chunk {
+            items: Vec::with_capacity(CHUNK_SLOTS),
+            live: 0,
+        });
+        self.resizes += 1;
+        u32::try_from(self.chunks.len() - 1).expect("over 2^32 chunks")
+    }
+
+    /// Sorts the open run by time, stably, and files it in the heap.
+    fn seal(&mut self) {
+        if self.open_len == 0 {
+            return;
+        }
+        let n = self.open_len;
+        let chunk = &mut self.chunks[self.open as usize];
+        let end = chunk.items.len();
+        let run = &mut chunk.items[end - n..];
+        if !run.is_sorted_by_key(|&(t, _)| t) {
+            run.sort_by_key(|&(t, _)| t);
+        }
+        debug_assert_eq!(run[0].0, self.open_min);
+        self.runs.push(Reverse(Run {
+            time: self.open_min,
+            base: self.next_seq - n as u64,
+            chunk: self.open,
+            next: (end - n) as u16,
+            end: end as u16,
+        }));
+        self.max_pop_scan = self.max_pop_scan.max(n as u64);
+        self.open_len = 0;
     }
 
     /// Schedules `event` to fire `delay` after the current time.
@@ -302,112 +300,83 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Bucket and index of the earliest entry, by one scan of the lowest
-    /// non-empty bucket; `(0, 0)` when the queue is empty.
-    fn scan_lowest(&self) -> (usize, usize) {
-        if self.occupied == 0 {
-            return (0, 0);
-        }
-        let b = self.occupied.trailing_zeros() as usize;
-        let bucket = &self.buckets[b];
-        let mut best = 0;
-        let mut best_key = bucket[0].key();
-        for (i, e) in bucket.iter().enumerate().skip(1) {
-            let k = e.key();
-            if k < best_key {
-                best_key = k;
-                best = i;
-            }
-        }
-        (b, best)
-    }
-
-    /// The earliest pending entry, if any.
-    #[inline]
-    fn head_entry(&self) -> Option<&Entry> {
-        (self.len > 0).then(|| &self.buckets[self.head.0][self.head.1])
-    }
-
-    /// Removes the head entry, makes its key the new `last`, moves the rest of
-    /// its bucket down, and locates the next head.
+    /// Takes the next item of the head run, re-keys or retires that run, and
+    /// pools its chunk if that was the chunk's last live item. The open run
+    /// must be sealed and the heap non-empty.
     fn pop_head(&mut self) -> (SimTime, E) {
-        let (b, i) = self.head;
-        let mut bucket = std::mem::take(&mut self.buckets[b]);
-        let head = bucket.swap_remove(i);
-        debug_assert!(head.key() >= self.last, "event queue went back in time");
-        self.last = head.key();
+        let mut top = self.runs.peek_mut().expect("pop_head on an empty heap");
+        let Reverse(head) = &mut *top;
+        let c = head.chunk as usize;
+        let chunk = &mut self.chunks[c];
+        let (time, slot) = &mut chunk.items[head.next as usize];
+        let time = *time;
+        let event = slot.take().expect("a run points at a popped item");
+        chunk.live -= 1;
+        head.next += 1;
+        if head.next == head.end {
+            PeekMut::pop(top);
+        } else {
+            head.time = chunk.items[head.next as usize].0;
+        }
+        if chunk.live == 0 {
+            chunk.items.clear();
+            // The open chunk stays open: with no live item its open run is
+            // empty, and the next schedule writes from slot 0.
+            if c != self.open as usize {
+                self.free.push(c as u32);
+            }
+        }
+        debug_assert!(time >= self.now, "event queue went back in time");
+        self.now = time;
         self.len -= 1;
-        self.free.push(head.slot);
-        let event = self
-            .slot_mut(head.slot)
-            .take()
-            .expect("queued entry points at a free slot");
-        // Bucket 0 holds at most `last` and `last ^ 1`, which stay in bucket 0
-        // whichever of them pops; every other bucket empties downward. The
-        // buckets below `b` were empty, so the least key moved is the new head.
-        let mut next: Option<(u128, (usize, usize))> = None;
-        if b > 0 && !bucket.is_empty() {
-            let moved = bucket.len() as u64;
-            if moved > self.max_pop_scan {
-                self.max_pop_scan = moved;
-            }
-            for e in bucket.drain(..) {
-                debug_assert!(bucket_of(e.key(), self.last) < b);
-                let k = e.key();
-                let pos = self.push(e);
-                if next.is_none_or(|(nk, _)| k < nk) {
-                    next = Some((k, pos));
-                }
-            }
-        }
-        if bucket.is_empty() {
-            self.occupied &= !(1 << b);
-        }
-        self.buckets[b] = bucket;
-        self.head = match next {
-            Some((_, pos)) => pos,
-            None => self.scan_lowest(),
-        };
-        (SimTime::from_micros(head.time), event)
+        (SimTime::from_micros(time), event)
     }
 
-    /// Timestamp of the next pending event, if any.
+    /// Timestamp of the next pending event, if any: the earlier of the head
+    /// run's next item and the open run's earliest.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.head_entry().map(|e| SimTime::from_micros(e.time))
+        let sealed = self.runs.peek().map(|r| r.0.time);
+        let open = (self.open_len > 0).then_some(self.open_min);
+        sealed
+            .into_iter()
+            .chain(open)
+            .min()
+            .map(SimTime::from_micros)
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.head_entry()?;
+        self.seal();
+        self.runs.peek()?;
         Some(self.pop_head())
     }
 
     /// Pops the earliest event only if it fires at or before `horizon` — the
     /// driver's one-touch replacement for a peek-then-pop pair. Returns `None`
-    /// with the queue untouched when the head is beyond the horizon.
+    /// with every pending event still queued when the head is beyond the
+    /// horizon.
     pub fn pop_if_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.head_entry()?.time > horizon.as_micros() {
+        self.seal();
+        if self.runs.peek()?.0.time > horizon.as_micros() {
             return None;
         }
         Some(self.pop_head())
     }
 
     /// Drops every pending event and resets the clock to t = 0, **keeping the
-    /// allocated storage**: the slab's chunks and every bucket's capacity
-    /// survive, so a pooled worker reusing one queue across seeds never
-    /// re-grows it.
+    /// allocated storage**: every chunk goes back to the pool, so a pooled
+    /// worker reusing one queue across seeds never re-grows it.
     pub fn reset(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.occupied = 0;
-        self.last = 0;
+        self.runs.clear();
         for c in &mut self.chunks {
-            c.clear();
+            c.items.clear();
+            c.live = 0;
         }
-        self.filled = 0;
         self.free.clear();
-        self.head = (0, 0);
+        self.free.extend((0..self.chunks.len() as u32).rev());
+        self.open = u32::MAX;
+        self.open_len = 0;
+        self.now = 0;
         self.len = 0;
         self.next_seq = 0;
         self.peak_depth = 0;
@@ -550,9 +519,8 @@ mod tests {
 
     #[test]
     fn a_full_instant_burst_stays_fifo_through_resizes() {
-        // Three chunks of events at one instant share every time bit, so
-        // only their sequence numbers spread them over buckets; slab growth
-        // and the redistributions must never disturb the FIFO order.
+        // Three chunks of events at one instant: three runs with equal head
+        // times, ordered only by their bases, must pop in FIFO order.
         let n = 3 * CHUNK_SLOTS as u32;
         let mut q = EventQueue::new();
         let t = SimTime::from_millis(5);
@@ -566,8 +534,7 @@ mod tests {
 
     #[test]
     fn far_future_events_pop_in_order() {
-        // Milliseconds, seconds, hours and days apart: keys in buckets spread
-        // over most of the time bits.
+        // Milliseconds, seconds, hours and days apart, in one run.
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(86_400), "day");
         q.schedule_at(SimTime::from_millis(1), "soon");
@@ -732,12 +699,12 @@ mod tests {
         assert_eq!(grown.resizes, 3, "two chunks and one slot need three");
         assert!(
             cap >= n as usize,
-            "the slab holds capacity for what was queued"
+            "the chunks hold capacity for what was queued"
         );
         while q.pop().is_some() {}
         q.reset();
         let after = q.telemetry();
-        assert_eq!(q.storage_capacity(), cap, "slab capacity survives reset");
+        assert_eq!(q.storage_capacity(), cap, "chunk capacity survives reset");
         assert_eq!(
             after,
             QueueTelemetry::default(),
@@ -752,7 +719,7 @@ mod tests {
     }
 
     #[test]
-    fn freed_slots_are_reused_before_the_slab_grows() {
+    fn emptied_chunks_are_reused_before_storage_grows() {
         // Ten chunks' worth of schedules at a steady depth of 4: only reuse
         // keeps them all in the first chunk.
         let mut q = EventQueue::new();
@@ -796,42 +763,95 @@ mod tests {
     }
 
     #[test]
-    fn the_first_key_of_a_fresh_queue_can_equal_the_initial_last() {
-        // (t = 0, seq 0) is the one key equal to the initial `last`, and
-        // (t = 0, seq 1) differs from it only in bit 0: both share bucket 0.
+    fn zero_delay_schedules_between_pops_queue_behind_their_instant() {
+        // A handler's same-instant follow-ups form a new run whose base is
+        // above every pending sequence number, so they pop after the events
+        // already due at that instant, in scheduling order.
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::ZERO, "a");
         q.schedule_at(SimTime::ZERO, "b");
         q.schedule_at(SimTime::ZERO, "c");
         assert_eq!(q.pop(), Some((SimTime::ZERO, "a")));
         q.schedule_at(SimTime::ZERO, "d");
+        q.schedule_at(SimTime::ZERO, "e");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["b", "c", "d"]);
+        assert_eq!(order, vec!["b", "c", "d", "e"]);
     }
 
     #[test]
-    fn bucket_of_is_the_highest_differing_bit() {
-        assert_eq!(bucket_of(0, 0), 0);
-        assert_eq!(bucket_of(1, 0), 0);
-        assert_eq!(bucket_of(2, 0), 1);
-        assert_eq!(bucket_of(0b1011, 0b1000), 1);
-        assert_eq!(bucket_of(1 << 64, 0), 64);
-        assert_eq!(bucket_of(u128::MAX, 0), BUCKETS - 1);
+    fn peek_time_sees_the_open_run() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_secs(5), "late");
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
+        assert_eq!(q.pop_if_at_or_before(SimTime::from_secs(1)), None);
+        // Sealed head at 5 s; the open run's earliest is 2 s.
+        q.schedule_at(SimTime::from_secs(3), "mid");
+        q.schedule_at(SimTime::from_secs(2), "early");
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "early")));
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(3)));
     }
 
     #[test]
-    fn telemetry_tracks_peak_and_scans() {
+    fn a_run_never_spans_chunks() {
+        // One chunk and a half scheduled between two pops: the chunk boundary
+        // seals the first run, so two runs are sealed and two chunks grown.
+        // The second run's times all precede the first's, so the pops
+        // interleave the runs through the heap.
+        let n = CHUNK_SLOTS + CHUNK_SLOTS / 2;
+        let mut q = EventQueue::new();
+        for i in 0..n as u64 {
+            q.schedule_at(SimTime::from_micros(n as u64 - i), i);
+        }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, (0..n as u64).rev().collect::<Vec<_>>());
+        let t = q.telemetry();
+        assert_eq!(t.resizes, 2);
+        assert_eq!(
+            t.max_pop_scan, CHUNK_SLOTS as u64,
+            "a run is one chunk at most"
+        );
+    }
+
+    #[test]
+    fn equal_times_in_a_reused_chunk_pop_after_older_runs() {
+        // A pooled chunk comes back with a lower index than the chunk still
+        // holding older events at the same instant: only the sequence
+        // numbers, never the storage, may break that tie.
+        let n = CHUNK_SLOTS as u64;
+        let far = SimTime::from_secs(10);
+        let mut q = EventQueue::new();
+        for i in 0..n {
+            q.schedule_at(SimTime::from_micros(i), i);
+        }
+        q.schedule_at(far, n);
+        for i in 0..n {
+            assert_eq!(q.pop(), Some((SimTime::from_micros(i), i)));
+        }
+        for i in n + 1..3 * n {
+            q.schedule_at(far, i);
+        }
+        assert_eq!(q.telemetry().resizes, 2, "the third chunk reuses the first");
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, (n..3 * n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn telemetry_tracks_peak_and_longest_run() {
         let mut q = EventQueue::new();
         for s in 0..100u64 {
             q.schedule_at(SimTime::from_secs(s), s);
         }
         assert_eq!(q.telemetry().peak_depth, 100);
+        q.pop();
+        for s in 0..7u64 {
+            q.schedule_after(SimDuration::from_secs(s), s);
+        }
         while q.pop().is_some() {}
         let t = q.telemetry();
-        // Popping 34 s empties its bucket, which also holds 35..67 s: after
-        // 33 s they all first differ from the clock at bit 25 of the time,
-        // so 33 keys move down — the most any pop redistributed.
-        assert_eq!(t.max_pop_scan, 33);
+        // The first 100 schedules came before any pop: one run of 100.
+        assert_eq!(t.max_pop_scan, 100);
+        assert_eq!(t.peak_depth, 106);
         assert_eq!(q.len(), 0);
     }
 }

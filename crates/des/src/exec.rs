@@ -40,7 +40,7 @@ pub struct EpochExecutor<E> {
 }
 
 impl<E> EpochExecutor<E> {
-    /// Bytes one pending event occupies in the queue's payload slab.
+    /// Bytes one pending event occupies in its queue chunk.
     pub const SLOT_BYTES: usize = EventQueue::<(usize, E)>::SLOT_BYTES;
 
     /// Creates an executor over `shards` shards. Its queue allocates nothing
@@ -54,8 +54,8 @@ impl<E> EpochExecutor<E> {
     }
 
     /// [`new`](Self::new) over `caps.len()` shards. The capacities,
-    /// `_threads` and `_horizon` are ignored: the queue's slab grows in fixed
-    /// chunks and has nothing to pre-size, the executor always runs on the
+    /// `_threads` and `_horizon` are ignored: the queue grows in fixed chunks
+    /// and has nothing to pre-size, the executor always runs on the
     /// calling thread, and the queue needs no time calibration. The signature
     /// stays so the `hlsrg-bench` traced run keeps compiling.
     pub fn with_shard_capacities_and_horizon(
@@ -471,7 +471,7 @@ mod tests {
     fn telemetry_aggregates_across_shards() {
         // One queue holds every shard's events, so the telemetry is the same
         // at any shard count: the peak is the total in flight, and per-shard
-        // capacities change nothing (the slab grows in chunks regardless).
+        // capacities change nothing (the queue grows in chunks regardless).
         let run = |ex: &mut EpochExecutor<u32>| {
             let shards = ex.num_shards();
             for i in 0..1_000u32 {
@@ -485,7 +485,10 @@ mod tests {
         assert_eq!(four, one);
         assert_eq!(four.peak_depth, 1_000);
         assert_eq!(four.resizes, 1, "1,000 events fit one chunk");
-        assert!(four.max_pop_scan >= 1);
+        assert_eq!(
+            four.max_pop_scan, 1_000,
+            "every schedule precedes every pop"
+        );
         let capped = run(&mut EpochExecutor::with_shard_capacities_and_horizon(
             1,
             LA,

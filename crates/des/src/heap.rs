@@ -1,8 +1,8 @@
 //! The binary-heap event queue, kept as the **reference implementation** for
-//! differential testing of the radix-heap kernel.
+//! differential testing of the sorted-run kernel.
 //!
-//! This is the original `O(log n)` kernel, retired first for a calendar queue
-//! and then for today's radix heap. Its
+//! This is the original `O(log n)` kernel, retired first for a calendar queue,
+//! then for a radix heap, and then for today's sorted runs. Its
 //! ordering semantics — strictly by timestamp, FIFO among events at the same
 //! instant — are trivially correct by construction of the comparator, which is
 //! exactly what makes it the oracle: the differential suite drives a

@@ -11,10 +11,11 @@
 //!   event ordering.
 //! * **FIFO tie-break**: events at the same instant fire in scheduling order, so a
 //!   run is a pure function of (config, seed).
-//! * **Payloads written once, keys moved**: [`EventQueue`] is a monotone radix
-//!   heap of `(time, seq)` keys over a chunked slab that holds each pending
-//!   payload in one place; schedules are O(1) and pops amortized O(log) in the
-//!   key range.
+//! * **Sorted runs**: [`EventQueue`] appends every schedule between two pops
+//!   to one run in a fixed chunk, sorts the run once when the next pop seals
+//!   it, and keeps a binary heap of runs keyed by their next `(time, seq)`.
+//!   Schedules are O(1), a pop is one sift-down over the runs, and no event
+//!   moves after it is written.
 //!   The retired binary-heap kernel survives as [`HeapQueue`], the reference
 //!   the differential tests drive in lockstep to prove the `(time, seq)` pop
 //!   order is preserved exactly.
@@ -120,7 +121,8 @@ mod proptests {
                 }
             }
             // A declined bounded pop, then a schedule between the clock and
-            // the declined head: the radix heap must still accept and order it.
+            // the declined head: the queue must still accept and order it.
+            // The schedule opens a run that peeks below the sealed head.
             11 => {
                 if let Some(head) = heap.peek_time() {
                     let gap = head.as_micros() - now.as_micros();
@@ -131,6 +133,21 @@ mod proptests {
                         let at = after((v >> 20) % gap);
                         schedule(q, heap, at);
                     }
+                }
+            }
+            // A burst over a few instants, longer than a small-sort
+            // threshold: equal times inside the run, out of scheduling
+            // order, so only a stable sort keeps them FIFO. One in eight
+            // holds more than a chunk, so chunk boundaries split it into
+            // runs with equal times across them.
+            12 => {
+                let n = if v.is_multiple_of(8) {
+                    event::CHUNK_SLOTS as u64 + v % 3_000
+                } else {
+                    21 + v % 200
+                };
+                for i in 0..n {
+                    schedule(q, heap, after(splitmix64(v ^ i) % 5));
                 }
             }
             _ => {
@@ -266,29 +283,31 @@ mod proptests {
     }
 
     proptest! {
-        /// The main oracle: the radix-heap queue and the heap reference
+        /// The main oracle: the sorted-run queue and the heap reference
         /// driven through identical random interleavings — schedules near,
-        /// far, at the clock and at `SimTime::MAX`, same-instant bursts of
-        /// over 5k events, pops, bounded pops, declined bounded pops followed
-        /// by schedules below the declined head, and resets followed by reuse
-        /// — produce bit-identical `(time, event)` streams. Payloads are
-        /// unique per scheduling, so agreeing on `(time, event)` is agreeing
-        /// on `(time, seq)`.
+        /// far, at the clock (zero-delay schedules between pops) and at
+        /// `SimTime::MAX`, same-instant bursts of over 5k events, bursts over
+        /// a few instants that cross the chunk boundary, pops, bounded pops,
+        /// declined bounded pops followed by schedules below the declined
+        /// head, and resets followed by reuse — produce bit-identical
+        /// `(time, event)` streams, with `peek_time` equal after every op,
+        /// open run included. Payloads are unique per scheduling, so
+        /// agreeing on `(time, event)` is agreeing on `(time, seq)`.
         #[test]
-        fn radix_queue_matches_heap_reference(
-            ops in proptest::collection::vec((0u8..13, 0u64..u64::MAX / 2), 1..400),
+        fn sorted_run_queue_matches_heap_reference(
+            ops in proptest::collection::vec((0u8..14, 0u64..u64::MAX / 2), 1..400),
         ) {
             drive_queue_against_heap(&mut EventQueue::new(), &ops);
         }
 
-        /// The pop order must not depend on the slab's layout. A warm-up of
+        /// The pop order must not depend on the chunks' layout. A warm-up of
         /// `warm` same-instant events, scheduled and drained, leaves up to
-        /// five chunks allocated and every slot on the free list in pop
-        /// order; a reset then keeps the chunks but empties the free list.
-        /// Either state must match the reference from then on.
+        /// five chunks allocated, all but the open one pooled in drain
+        /// order; a reset then pools every chunk afresh. Either state must
+        /// match the reference from then on.
         #[test]
-        fn pop_order_is_independent_of_slab_layout(
-            ops in proptest::collection::vec((0u8..13, 0u64..u64::MAX / 2), 1..200),
+        fn pop_order_is_independent_of_chunk_layout(
+            ops in proptest::collection::vec((0u8..14, 0u64..u64::MAX / 2), 1..200),
             warm in 0usize..5 * event::CHUNK_SLOTS,
             reset in any::<bool>(),
         ) {

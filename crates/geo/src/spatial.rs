@@ -337,14 +337,18 @@ impl SpatialHash {
         // Proposed bounds: union of the current core box and `k`, with slack on
         // every side so registration sweeps and map-edge traffic grow the grid
         // O(log) times, not per insert.
+        // In i128: a saturated key (a point beyond ±2^63 cells) must not
+        // overflow the box arithmetic.
+        let (kx, ky) = (k.0 as i128, k.1 as i128);
         let (mut x0, mut x1, mut y0, mut y1) = if self.gw == 0 {
-            (k.0, k.0 + 1, k.1, k.1 + 1)
+            (kx, kx + 1, ky, ky + 1)
         } else {
+            let (gx0, gy0) = (self.gx0 as i128, self.gy0 as i128);
             (
-                self.gx0.min(k.0),
-                (self.gx0 + self.gw).max(k.0 + 1),
-                self.gy0.min(k.1),
-                (self.gy0 + self.gh).max(k.1 + 1),
+                gx0.min(kx),
+                (gx0 + self.gw as i128).max(kx + 1),
+                gy0.min(ky),
+                (gy0 + self.gh as i128).max(ky + 1),
             )
         };
         let slack_x = ((x1 - x0) / 4).max(2);
@@ -353,12 +357,14 @@ impl SpatialHash {
         x1 += slack_x;
         y0 -= slack_y;
         y1 += slack_y;
-        let cells = (x1 - x0) as i128 * (y1 - y0) as i128;
-        if cells > MAX_GRID_CELLS {
+        let cells = (x1 - x0).saturating_mul(y1 - y0);
+        let key_range = i64::MIN as i128..=i64::MAX as i128;
+        if cells > MAX_GRID_CELLS || ![x0, x1, y0, y1].iter().all(|v| key_range.contains(v)) {
             // Outliers stay in the sparse tier; the core grid keeps its bounds.
             self.overflow.entry(k).or_default();
             return;
         }
+        let (x0, x1, y0, y1) = (x0 as i64, x1 as i64, y0 as i64, y1 as i64);
         // Rebuild: move existing buckets to their new linear positions, then
         // pull in any overflow cells the larger box now covers. Slots reference
         // cell coordinates, not storage, so none of them change.
@@ -414,8 +420,11 @@ impl SpatialHash {
         let (cx, cy) = self.key(center);
         let r_sq = radius * radius;
         let over = !self.overflow.is_empty();
-        for bx in (cx - r_cells)..=(cx + r_cells) {
-            for by in (cy - r_cells)..=(cy + r_cells) {
+        // Saturating: a centre beyond the i64 cell range (±inf, or |x| above
+        // about 2^63 cells) has a saturated key, and the ring around it stops
+        // at the end of the key range, which is where its entries sit too.
+        for bx in cx.saturating_sub(r_cells)..=cx.saturating_add(r_cells) {
+            for by in cy.saturating_sub(r_cells)..=cy.saturating_add(r_cells) {
                 for &(id, p) in self.entries(bx, by, over) {
                     if center.distance_sq(p) < r_sq {
                         f(id, p);
@@ -459,11 +468,18 @@ impl SpatialHash {
             }
         };
         let r_cells = (radius / self.cell).ceil() as i64;
-        if !(0..=2).contains(&r_cells) {
+        let (cx, cy) = self.key(center);
+        // Cell edges are exact in f64 only for keys below 2^53, and a
+        // saturated key stands for an unbounded cell, so centres that far out
+        // take the plain pass too.
+        const EXACT_KEY: u64 = 1 << 52;
+        if !(0..=2).contains(&r_cells)
+            || cx.unsigned_abs() >= EXACT_KEY
+            || cy.unsigned_abs() >= EXACT_KEY
+        {
             self.for_each_within(center, radius, |id, p| consider(id, p, &mut best));
             return best;
         }
-        let (cx, cy) = self.key(center);
         let c = self.cell;
         // Lower bound on the distance from `target` to each cell's rectangle.
         let mut cells = [(0.0f64, 0i64, 0i64); 25];
@@ -582,6 +598,42 @@ type BucketDump = Vec<((i64, i64), Vec<(u64, Point)>)>;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn centres_beyond_the_key_range_do_not_overflow() {
+        // A centre whose cell key saturates: ±inf, or ±1e300 (about 2e297
+        // cells at 500 m). Every distance from an infinite centre is inf or
+        // NaN, so it finds nothing; a 1e300 centre finds the entries that
+        // share its saturated cell, exactly as a scan would.
+        let mut h = SpatialHash::new(500.0);
+        h.upsert(1, Point::new(1e300, 0.0));
+        h.upsert(2, Point::new(1e300, 300.0));
+        h.upsert(3, Point::new(-1e300, -300.0));
+        h.upsert(4, Point::ORIGIN);
+        h.upsert(5, Point::new(f64::INFINITY, 0.0));
+        for c in [
+            Point::new(f64::INFINITY, 0.0),
+            Point::new(f64::NEG_INFINITY, 0.0),
+            Point::new(0.0, f64::INFINITY),
+            Point::new(0.0, f64::NEG_INFINITY),
+        ] {
+            assert!(h.query_radius(c, 1_000.0).is_empty(), "{c:?}");
+            assert_eq!(h.nearest_to_within(c, 1_000.0, c, |_| false), None);
+        }
+        let far = Point::new(1e300, 0.0);
+        assert_eq!(h.query_radius(far, 1_000.0), vec![1, 2]);
+        assert_eq!(h.query_radius(Point::new(-1e300, 0.0), 1_000.0), vec![3]);
+        let target = Point::new(1e300, 300.0);
+        assert_eq!(
+            h.nearest_to_within(far, 1_000.0, target, |_| false),
+            Some((2, 0.0))
+        );
+        assert_eq!(
+            h.nearest_to_within(far, 1_000.0, target, |id| id == 2),
+            Some((1, 300.0))
+        );
+        assert_eq!(h.query_radius(Point::ORIGIN, 1_000.0), vec![4]);
+    }
 
     #[test]
     fn insert_query_remove() {

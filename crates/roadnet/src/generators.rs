@@ -94,7 +94,9 @@ impl GridMapSpec {
 pub fn generate_grid(spec: &GridMapSpec, rng: &mut SmallRng) -> RoadNetwork {
     spec.validate();
     let (cols, rows) = (spec.cols(), spec.rows());
-    let mut b = RoadNetworkBuilder::new();
+    // One east road per row gap and one north road per column gap.
+    let roads = rows * (cols - 1) + cols * (rows - 1);
+    let mut b = RoadNetworkBuilder::with_capacity(cols * rows, roads);
     let mut ids = Vec::with_capacity(cols * rows);
     for iy in 0..rows {
         for ix in 0..cols {

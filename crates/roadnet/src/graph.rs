@@ -89,6 +89,15 @@ impl RoadNetworkBuilder {
         Self::default()
     }
 
+    /// An empty builder with room for `intersections` and `roads`, for
+    /// callers that know the counts up front: the two lists then never grow.
+    pub fn with_capacity(intersections: usize, roads: usize) -> Self {
+        RoadNetworkBuilder {
+            intersections: Vec::with_capacity(intersections),
+            roads: Vec::with_capacity(roads),
+        }
+    }
+
     /// Adds an intersection and returns its id.
     pub fn add_intersection(&mut self, pos: Point) -> IntersectionId {
         let id = IntersectionId(self.intersections.len() as u32);

@@ -117,12 +117,14 @@ pub struct BenchRecord {
     /// Event-queue storage growths summed across the scenario's runs (absent
     /// in rows recorded before the calendar-queue kernel). Rows recorded with
     /// the calendar queue count its bucket rebuilds; rows recorded with the
-    /// radix heap count payload-slab growths. The two are not comparable.
+    /// radix heap count payload-slab growths; later rows count the sorted-run
+    /// queue's chunk allocations. None of the three are comparable.
     pub queue_resizes: Option<u64>,
     /// Worst single-pop scan across the scenario's runs (absent in rows
     /// recorded before the calendar-queue kernel). Rows recorded with the
     /// calendar queue give its longest bucket scan; rows recorded with the
-    /// radix heap give the most keys one pop redistributed. The two are not
+    /// radix heap give the most keys one pop redistributed; later rows give
+    /// the sorted-run queue's longest sealed run. None of the three are
     /// comparable.
     pub max_bucket_scan: Option<u64>,
     /// Event-queue shard count for the shard-scaling scenarios (absent in

@@ -80,14 +80,14 @@ impl Figure {
         }
     }
 
-    /// The across-seed standard deviation of the plotted metric (0 when the
-    /// figure's metric has no recorded spread).
+    /// The across-seed standard deviation of the plotted metric.
     fn y_sd(&self, r: &AveragedReport) -> f64 {
         match self.id {
             "3.2" => r.update_packets_sd,
             "3.3" => r.query_radio_tx_sd,
             "3.4" => r.success_rate_sd,
-            _ => 0.0,
+            "3.5" => r.mean_latency_sd,
+            other => panic!("unknown figure {other}"),
         }
     }
 
@@ -99,6 +99,14 @@ impl Figure {
             sum += self.y(&p.hlsrg) / self.y(&p.rlsmp);
         }
         sum / self.points.len() as f64
+    }
+
+    /// The ratio `hlsrg / rlsmp` of the plotted metric at the sweep point
+    /// `x`, if the sweep has one: where the paper states a claim about a
+    /// single point, this is the number to set beside it.
+    pub fn ratio_at(&self, x: f64) -> Option<f64> {
+        let p = self.points.iter().find(|p| p.x == x)?;
+        Some(self.y(&p.hlsrg) / self.y(&p.rlsmp))
     }
 
     /// The figure's two labeled series (HLSRG, RLSMP) in plot form, shared by
@@ -367,5 +375,54 @@ mod tests {
             }],
         };
         assert!((fig.mean_ratio() - 1.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn latency_figure_prints_its_spread() {
+        let runs = |lats: &[f64]| {
+            let runs: Vec<RunReport> = lats
+                .iter()
+                .map(|&l| {
+                    let mut r = RunReport::from_counters("X", 0, 1, 1.0, &NetCounters::new());
+                    r.latency.record(l);
+                    r
+                })
+                .collect();
+            AveragedReport::from_runs(&runs)
+        };
+        let fig = Figure {
+            id: "3.5",
+            title: "t",
+            x_label: "x",
+            y_label: "y",
+            points: vec![ComparisonPoint {
+                x: 300.0,
+                hlsrg: runs(&[1.0, 3.0]),
+                rlsmp: runs(&[4.0, 4.0]),
+            }],
+        };
+        // Sample sd of {1, 3} is √2 ≈ 1.41; of {4, 4} it is 0.
+        let shown = fig.to_string();
+        assert!(shown.contains("2.00 ± 1.41"), "{shown}");
+        assert!(shown.contains("4.00 ± 0.00"), "{shown}");
+    }
+
+    #[test]
+    fn ratio_at_reads_one_sweep_point() {
+        let point = |x: f64, h: f64, r: f64| ComparisonPoint {
+            x,
+            hlsrg: avg(h, 0.0, 0.0, 0.0),
+            rlsmp: avg(r, 0.0, 0.0, 0.0),
+        };
+        let fig = Figure {
+            id: "3.2",
+            title: "t",
+            x_label: "x",
+            y_label: "y",
+            points: vec![point(500.0, 100.0, 100.0), point(2000.0, 50.0, 100.0)],
+        };
+        assert_eq!(fig.ratio_at(2000.0), Some(0.5));
+        assert_eq!(fig.ratio_at(1000.0), None);
+        assert!((fig.mean_ratio() - 0.75).abs() < 1e-12);
     }
 }

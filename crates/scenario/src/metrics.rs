@@ -67,10 +67,11 @@ pub struct RunReport {
     pub events_processed: u64,
     /// Largest number of pending events observed in the queue at any point.
     pub peak_queue_depth: usize,
-    /// Event-queue payload-slab growths during the run (0 means the initial
-    /// sizing was already right).
+    /// Event-queue chunks allocated during the run, each of
+    /// `vanet_des::event::CHUNK_SLOTS` events.
     pub queue_resizes: u64,
-    /// Most keys any single pop redistributed to lower radix-heap buckets.
+    /// Longest run the event queue sealed: the most events scheduled between
+    /// two pops (a run never holds more than one chunk).
     pub queue_max_scan: u64,
     /// Events popped per shard `(scheduled, popped)`, one row per shard. A
     /// single-shard run has one row; the split across rows depends on the
@@ -196,6 +197,9 @@ pub struct AveragedReport {
     pub success_rate_sd: f64,
     /// Mean of per-run mean latencies (seconds), over runs that had successes.
     pub mean_latency: f64,
+    /// Sample standard deviation of the per-run mean latencies, over the same
+    /// runs (0 when fewer than two had successes).
+    pub mean_latency_sd: f64,
     /// Mean collection radio transmissions per run.
     pub collection_radio_tx: f64,
 }
@@ -231,6 +235,7 @@ impl AveragedReport {
             success_rate: succ.mean().unwrap(),
             success_rate_sd: succ.std_dev().unwrap_or(0.0),
             mean_latency: lat.mean().unwrap_or(f64::NAN),
+            mean_latency_sd: lat.std_dev().unwrap_or(0.0),
             collection_radio_tx: runs
                 .iter()
                 .map(|r| r.collection_radio_tx as f64)
@@ -261,6 +266,14 @@ mod tests {
         assert_eq!(avg.update_packets, 150.0);
         assert!((avg.success_rate - 0.95).abs() < 1e-12);
         assert!((avg.mean_latency - 2.0).abs() < 1e-12);
+        // Sample sd of the per-run latencies {1, 3} is √2; a run without a
+        // success adds nothing to either.
+        assert!((avg.mean_latency_sd - 2f64.sqrt()).abs() < 1e-12);
+        let none = RunReport::from_counters("HLSRG", 0, 100, 2000.0, &NetCounters::new());
+        let with_none =
+            AveragedReport::from_runs(&[report(100, 0.9, 1.0), none, report(200, 1.0, 3.0)]);
+        assert_eq!(with_none.mean_latency, avg.mean_latency);
+        assert_eq!(with_none.mean_latency_sd, avg.mean_latency_sd);
         // Sample sd of {100, 200} is 70.71…
         assert!((avg.update_packets_sd - 70.710678).abs() < 1e-3);
         // A single run has zero spread.

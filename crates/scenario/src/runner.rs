@@ -386,8 +386,8 @@ fn drive<L: LocationService>(
         .map(|n| n.get())
         .unwrap_or(usize::MAX);
     let threads = cfg.threads.clamp(1, shards).min(hw).max(1);
-    // All shards share one queue, whose slab grows in fixed chunks as the
-    // run needs them: there is nothing to pre-size.
+    // All shards share one queue, which grows in fixed chunks as the run
+    // needs them: there is nothing to pre-size.
     let mut queue: EpochExecutor<Ev<L::Payload, L::Timer>> = EpochExecutor::new(shards, lookahead)
         .unwrap_or_else(|e| panic!("cannot shard this run: {e}"));
     // Shard routing: a delivery belongs to the shard owning the recipient's
@@ -857,13 +857,16 @@ mod tests {
             use std::mem::size_of;
             let transport = size_of::<Transport<L::Payload>>();
             let ev = size_of::<Ev<L::Payload, L::Timer>>();
-            let slot = EpochExecutor::<Ev<L::Payload, L::Timer>>::SLOT_BYTES;
+            // A pending event is one chunk item, its time and its shard-tagged
+            // payload; a sealed run's heap entry is shared by the run's
+            // events.
+            let per_event = EpochExecutor::<Ev<L::Payload, L::Timer>>::SLOT_BYTES;
             assert!(transport <= 16, "{name} Transport is {transport} bytes");
             assert!(ev <= 24, "{name} Ev is {ev} bytes");
-            assert!(slot <= 32, "{name} queue slot is {slot} bytes");
-            // A slab chunk must stay under glibc's smallest mmap threshold.
-            let chunk = slot * vanet_des::event::CHUNK_SLOTS;
-            assert!(chunk <= 128 << 10, "{name} slab chunk is {chunk} bytes");
+            assert!(per_event <= 40, "{name} pending event is {per_event} bytes");
+            // A chunk must stay under glibc's smallest mmap threshold.
+            let chunk = per_event * vanet_des::event::CHUNK_SLOTS;
+            assert!(chunk <= 128 << 10, "{name} queue chunk is {chunk} bytes");
         }
         pin::<HlsrgProtocol>("HLSRG");
         pin::<RlsmpProtocol>("RLSMP");
