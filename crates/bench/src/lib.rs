@@ -1,33 +1,3 @@
-//! Shared helpers for the benchmark binaries in `benches/`.
-//!
-//! Every figure bench does two jobs:
-//!
-//! 1. **Regenerate the paper figure** — run the published sweep and print the
-//!    series (the numbers recorded in `EXPERIMENTS.md`).
-//! 2. **Benchmark** a representative simulation run under Criterion, so changes to
-//!    the simulator's performance are tracked.
-//!
-//! Set `HLSRG_BENCH_SCALE=smoke` to shrink the regeneration sweep (CI).
-
-use vanet_scenario::FigureScale;
-
-/// The sweep scale requested via `HLSRG_BENCH_SCALE` (default: the paper's).
-pub fn figure_scale() -> FigureScale {
-    match std::env::var("HLSRG_BENCH_SCALE").as_deref() {
-        Ok("smoke") => FigureScale::Smoke,
-        _ => FigureScale::Paper,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_scale_is_paper() {
-        // The env var is unset in the test environment.
-        if std::env::var("HLSRG_BENCH_SCALE").is_err() {
-            assert_eq!(figure_scale(), FigureScale::Paper);
-        }
-    }
-}
+//! Holds `benches/kernel_microbench.rs`, the Criterion microbenchmarks of the
+//! simulation kernel. The paper's figures and the ablations are rows of the
+//! experiment table in `vanet_scenario::figures`.

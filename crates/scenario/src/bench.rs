@@ -14,7 +14,7 @@
 //! and appended to without a full JSON parser.
 
 use crate::config::{Protocol, SimConfig};
-use crate::figures::FigureScale;
+use crate::figures::{Experiment, FigureScale};
 use crate::metrics::RunReport;
 use crate::replicate::replicate_batch;
 use std::time::Instant;
@@ -339,15 +339,9 @@ pub fn run_bench(opts: &BenchOptions, label: &str) -> Vec<BenchRecord> {
         // The smoke/paper-scale figure sweep: every (map point × protocol ×
         // seed) replication of the Fig 3.3–3.5 vehicle sweep, via the job pool.
         if want("figure_sweep") {
-            let sweep_cfgs = sweep_configs(fig_scale);
-            let reps = match fig_scale {
-                FigureScale::Paper => 10,
-                FigureScale::Smoke => 2,
-            };
-            let sweep_jobs: Vec<(SimConfig, Protocol)> = sweep_cfgs
-                .iter()
-                .flat_map(|cfg| Protocol::ALL.map(|p| (cfg.clone(), p)))
-                .collect();
+            let row = Experiment::find("fig3.3-3.5").expect("the Fig 3.3–3.5 row exists");
+            let reps = row.replications(fig_scale);
+            let sweep_jobs = row.jobs(fig_scale);
             measured.push((
                 measure(opts, "figure_sweep", || {
                     replicate_batch(&sweep_jobs, reps, opts.threads)
@@ -455,26 +449,6 @@ pub fn run_bench(opts: &BenchOptions, label: &str) -> Vec<BenchRecord> {
                 shards,
                 threads,
             }
-        })
-        .collect()
-}
-
-/// The Fig 3.3–3.5 vehicle-sweep configs at the given scale (same shrink rule
-/// as [`crate::figures`]).
-fn sweep_configs(scale: FigureScale) -> Vec<SimConfig> {
-    let vehicles: &[usize] = match scale {
-        FigureScale::Paper => &[300, 400, 500, 600],
-        FigureScale::Smoke => &[80, 120],
-    };
-    vehicles
-        .iter()
-        .map(|&v| {
-            let mut cfg = SimConfig::paper_2km(v, 2000);
-            if scale == FigureScale::Smoke {
-                cfg.duration = vanet_des::SimDuration::from_secs(120);
-                cfg.warmup = vanet_des::SimDuration::from_secs(40);
-            }
-            cfg
         })
         .collect()
 }

@@ -6,7 +6,8 @@
 //!
 //! * [`run_simulation`] — one run, one protocol, one [`RunReport`].
 //! * [`replicate()`] / [`replicate_averaged`] — seed fan-out over threads.
-//! * [`figures`] — `fig3_2` … `fig3_5`, the published sweeps.
+//! * [`figures`] — the experiment table: the published sweeps (Figs 3.2–3.5)
+//!   and the ablations A1–A7, each one row.
 //!
 //! ```
 //! use vanet_scenario::{run_simulation, Protocol, SimConfig};
@@ -34,7 +35,10 @@ pub use bench::{
     BenchRecord, BenchScale, CompareRow, BENCH_SHARD_COUNTS,
 };
 pub use config::{ConfigError, Protocol, SimConfig};
-pub use figures::{fig3_2, fig3_3, fig3_345, fig3_4, fig3_5, ComparisonPoint, Figure, FigureScale};
+pub use figures::{
+    paper_figures, ComparisonPoint, Experiment, ExperimentPoint, ExperimentRun, Figure,
+    FigureScale, Key, Metric, EXPERIMENTS,
+};
 pub use metrics::{AveragedReport, RunReport, TimelinePoint};
 pub use plot::{ascii_chart, svg_chart};
 pub use pool::JobPool;

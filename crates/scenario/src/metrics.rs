@@ -202,6 +202,12 @@ pub struct AveragedReport {
     pub mean_latency_sd: f64,
     /// Mean collection radio transmissions per run.
     pub collection_radio_tx: f64,
+    /// Sample standard deviation of collection radio transmissions.
+    pub collection_radio_tx_sd: f64,
+    /// Mean end-of-run fraction of vehicles on arteries.
+    pub artery_share: f64,
+    /// Sample standard deviation of the artery share.
+    pub artery_share_sd: f64,
 }
 
 impl AveragedReport {
@@ -212,11 +218,12 @@ impl AveragedReport {
     /// Panics on an empty batch.
     pub fn from_runs(runs: &[RunReport]) -> AveragedReport {
         assert!(!runs.is_empty(), "cannot average zero runs");
-        let n = runs.len() as f64;
         let mut lat = Welford::new();
         let mut upd = Welford::new();
         let mut qtx = Welford::new();
         let mut succ = Welford::new();
+        let mut coll = Welford::new();
+        let mut artery = Welford::new();
         for r in runs {
             if let Some(m) = r.mean_latency() {
                 lat.record(m);
@@ -224,6 +231,8 @@ impl AveragedReport {
             upd.record(r.update_packets as f64);
             qtx.record(r.query_radio_tx as f64);
             succ.record(r.success_rate);
+            coll.record(r.collection_radio_tx as f64);
+            artery.record(r.artery_share);
         }
         AveragedReport {
             protocol: runs[0].protocol,
@@ -236,11 +245,10 @@ impl AveragedReport {
             success_rate_sd: succ.std_dev().unwrap_or(0.0),
             mean_latency: lat.mean().unwrap_or(f64::NAN),
             mean_latency_sd: lat.std_dev().unwrap_or(0.0),
-            collection_radio_tx: runs
-                .iter()
-                .map(|r| r.collection_radio_tx as f64)
-                .sum::<f64>()
-                / n,
+            collection_radio_tx: coll.mean().unwrap(),
+            collection_radio_tx_sd: coll.std_dev().unwrap_or(0.0),
+            artery_share: artery.mean().unwrap(),
+            artery_share_sd: artery.std_dev().unwrap_or(0.0),
         }
     }
 }
@@ -279,6 +287,16 @@ mod tests {
         // A single run has zero spread.
         let one = AveragedReport::from_runs(&[report(5, 1.0, 1.0)]);
         assert_eq!(one.update_packets_sd, 0.0);
+        assert_eq!(one.artery_share_sd, 0.0);
+        // The artery share and collection traffic average like the rest.
+        let (mut c, mut d) = (report(1, 1.0, 1.0), report(1, 1.0, 1.0));
+        (c.artery_share, c.collection_radio_tx) = (0.4, 10);
+        (d.artery_share, d.collection_radio_tx) = (0.6, 30);
+        let cd = AveragedReport::from_runs(&[c, d]);
+        assert!((cd.artery_share - 0.5).abs() < 1e-12);
+        assert!((cd.artery_share_sd - 0.02f64.sqrt()).abs() < 1e-12);
+        assert_eq!(cd.collection_radio_tx, 20.0);
+        assert!((cd.collection_radio_tx_sd - 200f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

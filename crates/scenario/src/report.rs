@@ -152,7 +152,7 @@ fn figures_section(figures: &[Figure]) -> String {
     let mut body = String::from("<div class=\"grid\">\n");
     for fig in figures {
         body.push_str(&chart(
-            &format!("Figure {} — {} ({})", fig.id, fig.title, fig.y_label),
+            &format!("Figure {} — {} ({})", fig.id, fig.title, fig.metric.label()),
             &fig.series(),
         ));
     }

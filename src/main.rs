@@ -4,8 +4,8 @@
 //! hlsrg run      [--protocol hlsrg|rlsmp] [--vehicles N] [--map-size M] [--seed S]
 //!                [--duration SECS] [--shards N] [--threads N] [--csv] [--trace-out FILE]
 //!                [--telemetry-out FILE] [--telemetry-interval SECS]
-//! hlsrg figures  [--paper] [--csv]
-//! hlsrg compare  [--vehicles N] [--seed S] [--reps R]
+//! hlsrg figures  [--experiment NAME] [--paper] [--csv]
+//! hlsrg compare  [--vehicles N] [--map-size M] [--seed S] [--duration SECS] [--reps R]
 //! hlsrg map      [--size M] [--jitter J] [--seed S] [--out FILE]
 //! hlsrg inspect  FILE [--top N] [--query ID]
 //! hlsrg report   [--telemetry FILE] [--bench FILE] [--figures none|smoke|paper]
@@ -17,8 +17,8 @@ use hlsrg_suite::des::{SimDuration, SimTime};
 use hlsrg_suite::mobility::{LightConfig, MobilityConfig, MobilityModel, Ns2Trace, TrafficLights};
 use hlsrg_suite::roadnet::{generate_grid, to_map_text, GridMapSpec};
 use hlsrg_suite::scenario::{
-    fig3_2, fig3_345, replicate_averaged, run_simulation, run_simulation_instrumented,
-    AllocCounter, BenchOptions, BenchScale, FigureScale, Protocol, RunReport, SimConfig,
+    paper_figures, replicate_averaged, run_simulation, run_simulation_instrumented, AllocCounter,
+    BenchOptions, BenchScale, Experiment, FigureScale, Protocol, RunReport, SimConfig, EXPERIMENTS,
 };
 use hlsrg_suite::trace::{cause_name, registry_from_events, TraceEvent};
 use rand::rngs::SmallRng;
@@ -83,29 +83,40 @@ fn main() -> ExitCode {
         // `inspect` takes a positional file argument before its flags.
         return cmd_inspect(rest);
     }
-    let flags = match parse_flags(rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
+    // Each command with the flags it reads; any other flag is a usage error.
+    let (command, known): (fn(&Flags) -> ExitCode, &str) = match cmd.as_str() {
+        "run" => (
+            cmd_run,
+            "protocol vehicles map-size seed duration shards threads csv \
+             trace-out telemetry-out telemetry-interval",
+        ),
+        "figures" => (cmd_figures, "experiment paper csv"),
+        "compare" => (
+            cmd_compare,
+            "vehicles map-size seed duration shards threads reps",
+        ),
+        "map" => (cmd_map, "size jitter seed out"),
+        "trace" => (cmd_trace, "size vehicles duration seed out"),
+        "fuzz" => (cmd_fuzz, "runs seed out replay corrupt pool"),
+        "bench" => (
+            cmd_bench,
+            "scale reps threads label only out check compare threshold",
+        ),
+        "report" => (cmd_report, "telemetry bench figures title out"),
+        "help" | "--help" | "-h" => {
+            usage();
+            return ExitCode::SUCCESS;
+        }
+        other => {
+            eprintln!("error: unknown command {other:?}");
             usage();
             return ExitCode::FAILURE;
         }
     };
-    match cmd.as_str() {
-        "run" => cmd_run(&flags),
-        "figures" => cmd_figures(&flags),
-        "compare" => cmd_compare(&flags),
-        "map" => cmd_map(&flags),
-        "trace" => cmd_trace(&flags),
-        "fuzz" => cmd_fuzz(&flags),
-        "bench" => cmd_bench(&flags),
-        "report" => cmd_report(&flags),
-        "help" | "--help" | "-h" => {
-            usage();
-            ExitCode::SUCCESS
-        }
-        other => {
-            eprintln!("error: unknown command {other:?}");
+    match parse_flags(cmd, rest, known) {
+        Ok(flags) => command(&flags),
+        Err(e) => {
+            eprintln!("error: {e}");
             usage();
             ExitCode::FAILURE
         }
@@ -129,8 +140,11 @@ commands:
                                      --telemetry-out FILE (JSONL time series)
                                      --telemetry-interval SECS (default 5)
   figures  regenerate the paper's    --paper (full sweep)  --csv
-           evaluation figures
-  compare  HLSRG vs RLSMP summary    --vehicles N  --seed S  --reps R
+           evaluation figures        --experiment NAME (one row of the
+                                     experiment table, mean ± sd per point;
+                                     an unknown NAME lists the rows)
+  compare  HLSRG vs RLSMP summary    --vehicles N  --map-size M  --seed S
+                                     --duration SECS  --reps R (at least 1)
   map      emit a map in text form   --size M  --jitter J  --seed S
   trace    emit an ns-2 movement     --size M  --vehicles N  --duration SECS
            trace (VanetMobiSim       --seed S  --out FILE
@@ -162,22 +176,29 @@ commands:
 
 type Flags = HashMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// Parses `cmd`'s flags, accepting only the space-separated names in `known`.
+fn parse_flags(cmd: &str, args: &[String], known: &str) -> Result<Flags, String> {
     let mut flags = Flags::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(name) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a:?}"));
         };
-        // Boolean flags take no value.
-        if matches!(name, "csv" | "paper" | "corrupt") {
-            flags.insert(name.into(), "true".into());
-            continue;
+        if !known.split_whitespace().any(|k| k == name) {
+            return Err(format!("unknown flag --{name} for `{cmd}`"));
         }
-        let Some(v) = it.next() else {
-            return Err(format!("--{name} needs a value"));
+        // Boolean flags take no value.
+        let value = if matches!(name, "csv" | "paper" | "corrupt") {
+            "true".into()
+        } else {
+            let Some(v) = it.next() else {
+                return Err(format!("--{name} needs a value"));
+            };
+            v.clone()
         };
-        flags.insert(name.into(), v.clone());
+        if flags.insert(name.into(), value).is_some() {
+            return Err(format!("--{name} given more than once"));
+        }
     }
     Ok(flags)
 }
@@ -185,6 +206,16 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
 /// The value of `--name`, or `default` when the flag is absent.
 fn get<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> T {
     get_opt(flags, name).unwrap_or(default)
+}
+
+/// The value of `--name`, or `default` when the flag is absent; zero is a
+/// usage error.
+fn get_positive(flags: &Flags, name: &str, default: usize) -> usize {
+    let n = get(flags, name, default);
+    if n == 0 {
+        invalid(flags, name, "expected a positive count");
+    }
+    n
 }
 
 /// The value of `--name`, if given. An unparsable value is a usage error:
@@ -375,7 +406,7 @@ fn cmd_inspect(args: &[String]) -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(rest) {
+    let flags = match parse_flags("inspect", rest, "top query") {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");
@@ -549,9 +580,24 @@ fn cmd_figures(flags: &Flags) -> ExitCode {
         FigureScale::Smoke
     };
     let csv = flags.contains_key("csv");
-    let f2 = fig3_2(scale);
-    let (f3, f4, f5) = fig3_345(scale);
-    for fig in [&f2, &f3, &f4, &f5] {
+    if let Some(name) = flags.get("experiment") {
+        let Some(experiment) = Experiment::find(name) else {
+            let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+            invalid(
+                flags,
+                "experiment",
+                &format!("expected one of {}", names.join(", ")),
+            );
+        };
+        let run = experiment.run(scale);
+        if csv {
+            print!("{}", run.to_csv());
+        } else {
+            print!("{run}");
+        }
+        return ExitCode::SUCCESS;
+    }
+    for fig in paper_figures(scale) {
         if csv {
             println!("# Figure {}", fig.id);
             print!("{}", fig.to_csv());
@@ -564,7 +610,7 @@ fn cmd_figures(flags: &Flags) -> ExitCode {
 
 fn cmd_compare(flags: &Flags) -> ExitCode {
     let cfg = config_of(flags);
-    let reps = get(flags, "reps", 5usize);
+    let reps = get_positive(flags, "reps", 5);
     println!(
         "{} vehicles, {:.0} m map, {} seeds\n",
         cfg.vehicles, cfg.map.width, reps
@@ -781,9 +827,7 @@ fn cmd_report(flags: &Flags) -> ExitCode {
                 }
             };
             eprintln!("running {scale:?}-scale figure sweeps…");
-            let f2 = fig3_2(scale);
-            let (f3, f4, f5) = fig3_345(scale);
-            vec![f2, f3, f4, f5]
+            paper_figures(scale)
         }
     };
 
@@ -908,8 +952,8 @@ fn cmd_bench(flags: &Flags) -> ExitCode {
         }),
         ..BenchOptions::default()
     };
-    opts.reps = get(flags, "reps", opts.reps).max(1);
-    opts.threads = get(flags, "threads", opts.threads).max(1);
+    opts.reps = get_positive(flags, "reps", opts.reps);
+    opts.threads = get_positive(flags, "threads", opts.threads);
     opts.only = flags.get("only").cloned();
     let label = flags.get("label").cloned().unwrap_or_else(|| "dev".into());
     let out = flags

@@ -95,6 +95,10 @@ fn unparsable_flag_values_fail_naming_the_flag() {
         (vec!["run", "--protocol", "foo"], "--protocol"),
         (vec!["run", "--shards", "0"], "--shards"),
         (vec!["run", "--threads", "0"], "--threads"),
+        (vec!["compare", "--reps", "0"], "--reps"),
+        (vec!["bench", "--reps", "0"], "--reps"),
+        (vec!["bench", "--threads", "0"], "--threads"),
+        (vec!["figures", "--experiment", "fig3_2"], "--experiment"),
         (
             vec!["inspect", trace.to_str().unwrap(), "--top", "abc"],
             "--top",
@@ -108,6 +112,48 @@ fn unparsable_flag_values_fail_naming_the_flag() {
             "{args:?}: stderr should name {flag}, got:\n{err}"
         );
     }
+}
+
+#[test]
+fn unknown_experiment_lists_the_rows() {
+    let out = run(&["figures", "--experiment", "a9-nothing"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr_of(&out);
+    for name in ["fig3.2", "fig3.3-3.5", "a1-update-rules", "a7-nlos"] {
+        assert!(err.contains(name), "stderr should list {name}, got:\n{err}");
+    }
+}
+
+#[test]
+fn undeclared_flags_are_usage_errors() {
+    let trace = tmp("undeclared.jsonl");
+    std::fs::write(&trace, demo_trace_jsonl()).unwrap();
+    for (args, flag) in [
+        (vec!["figures", "--csv", "--nonsense", "1"], "--nonsense"),
+        (vec!["figures", "--experment", "a2-rsu"], "--experment"),
+        (vec!["run", "--vehicles", "20", "--paper"], "--paper"),
+        (vec!["compare", "--corrupt"], "--corrupt"),
+        (vec!["inspect", trace.to_str().unwrap(), "--csv"], "--csv"),
+    ] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+        let err = stderr_of(&out);
+        assert!(
+            err.contains(&format!("unknown flag {flag} for `{}`", args[0])),
+            "{args:?}: stderr should name {flag}, got:\n{err}"
+        );
+    }
+    // A repeated flag would otherwise keep only its last value.
+    let out = run(&[
+        "figures",
+        "--experiment",
+        "a1-update-rules",
+        "--experiment",
+        "a2-rsu",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr_of(&out).contains("--experiment given more than once"));
 }
 
 #[test]
