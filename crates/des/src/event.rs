@@ -1,4 +1,4 @@
-//! The event queue and simulation driver.
+//! The event queue.
 //!
 //! Events are ordered by `(time, sequence)`: strictly by timestamp, and FIFO among
 //! events scheduled for the same instant. The sequence tie-break is what makes runs
@@ -385,64 +385,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// Outcome of [`run`] / [`run_until`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The queue drained before the horizon.
-    Drained,
-    /// The horizon was reached with events still pending.
-    HorizonReached,
-    /// The handler requested an early stop.
-    Stopped,
-}
-
-/// What a handler tells the driver after each event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Control {
-    /// Keep processing events.
-    #[default]
-    Continue,
-    /// Stop the run immediately.
-    Stop,
-}
-
-/// Runs the queue until it drains, the handler stops the run, or `horizon` is passed.
-///
-/// `handler` receives each event together with the queue so it can schedule follow-up
-/// events. Events with `time > horizon` are left in the queue; the clock never
-/// advances past the last event actually processed. One queue operation per event:
-/// the horizon check rides inside [`EventQueue::pop_if_at_or_before`].
-pub fn run_until<E>(
-    queue: &mut EventQueue<E>,
-    horizon: SimTime,
-    mut handler: impl FnMut(SimTime, E, &mut EventQueue<E>) -> Control,
-) -> RunOutcome {
-    loop {
-        match queue.pop_if_at_or_before(horizon) {
-            Some((t, e)) => {
-                if handler(t, e, queue) == Control::Stop {
-                    return RunOutcome::Stopped;
-                }
-            }
-            None => {
-                return if queue.is_empty() {
-                    RunOutcome::Drained
-                } else {
-                    RunOutcome::HorizonReached
-                };
-            }
-        }
-    }
-}
-
-/// Runs the queue until it drains or the handler stops the run.
-pub fn run<E>(
-    queue: &mut EventQueue<E>,
-    handler: impl FnMut(SimTime, E, &mut EventQueue<E>) -> Control,
-) -> RunOutcome {
-    run_until(queue, SimTime::MAX, handler)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,68 +552,15 @@ mod tests {
     }
 
     #[test]
-    fn run_until_respects_horizon() {
-        let mut q = EventQueue::new();
-        for s in 1..=10u64 {
-            q.schedule_at(SimTime::from_secs(s), s);
-        }
-        let mut seen = vec![];
-        let outcome = run_until(&mut q, SimTime::from_secs(5), |_, e, _| {
-            seen.push(e);
-            Control::Continue
-        });
-        assert_eq!(outcome, RunOutcome::HorizonReached);
-        assert_eq!(seen, vec![1, 2, 3, 4, 5]);
-        assert_eq!(q.len(), 5);
-    }
-
-    #[test]
-    fn run_with_simtime_max_horizon_drains() {
+    fn max_horizon_pops_an_event_at_the_end_of_time() {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::MAX, "sentinel");
         q.schedule_at(SimTime::from_secs(1), "first");
-        let mut seen = vec![];
-        let outcome = run_until(&mut q, SimTime::MAX, |_, e, _| {
-            seen.push(e);
-            Control::Continue
-        });
-        assert_eq!(outcome, RunOutcome::Drained);
+        let seen: Vec<_> = std::iter::from_fn(|| q.pop_if_at_or_before(SimTime::MAX))
+            .map(|(_, e)| e)
+            .collect();
         assert_eq!(seen, vec!["first", "sentinel"]);
-    }
-
-    #[test]
-    fn run_drains_and_allows_cascading() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_secs(1), 3u32);
-        let mut count = 0;
-        let outcome = run(&mut q, |_, e, q| {
-            count += 1;
-            if e > 0 {
-                q.schedule_after(SimDuration::from_secs(1), e - 1);
-            }
-            Control::Continue
-        });
-        assert_eq!(outcome, RunOutcome::Drained);
-        assert_eq!(count, 4); // 3, 2, 1, 0
-    }
-
-    #[test]
-    fn handler_can_stop_early() {
-        let mut q = EventQueue::new();
-        for s in 1..=10u64 {
-            q.schedule_at(SimTime::from_secs(s), s);
-        }
-        let mut seen = 0;
-        let outcome = run(&mut q, |_, _, _| {
-            seen += 1;
-            if seen == 3 {
-                Control::Stop
-            } else {
-                Control::Continue
-            }
-        });
-        assert_eq!(outcome, RunOutcome::Stopped);
-        assert_eq!(q.len(), 7);
+        assert!(q.is_empty());
     }
 
     #[test]

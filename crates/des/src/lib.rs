@@ -28,19 +28,21 @@
 //!   fixed-width histograms that merge across parallel replications.
 //!
 //! ```
-//! use vanet_des::{EventQueue, SimTime, SimDuration, run, Control};
+//! use vanet_des::{EventQueue, SimDuration, SimTime};
 //!
 //! let mut q = EventQueue::new();
 //! q.schedule_at(SimTime::from_secs(1), "hello");
+//! let horizon = SimTime::from_secs(10);
 //! let mut fired = Vec::new();
-//! run(&mut q, |t, e, q| {
+//! // The event loop: pop while the head event is at or before the horizon.
+//! while let Some((t, e)) = q.pop_if_at_or_before(horizon) {
 //!     fired.push((t, e));
 //!     if e == "hello" {
 //!         q.schedule_after(SimDuration::from_millis(500), "world");
 //!     }
-//!     Control::Continue
-//! });
-//! assert_eq!(fired[1].0, SimTime::from_millis(1500));
+//! }
+//! assert_eq!(fired[1], (SimTime::from_millis(1500), "world"));
+//! assert!(q.is_empty());
 //! ```
 
 #![warn(missing_docs)]
@@ -53,7 +55,7 @@ pub mod shard;
 pub mod stats;
 pub mod time;
 
-pub use event::{run, run_until, Control, EventQueue, QueueTelemetry, RunOutcome};
+pub use event::{EventQueue, QueueTelemetry};
 pub use exec::EpochExecutor;
 pub use heap::HeapQueue;
 pub use rng::{derive_seed, splitmix64, stream_rng, StreamId};
@@ -350,9 +352,10 @@ mod proptests {
             }
         }
 
-        /// The driver visits exactly the events at or before the horizon.
+        /// A bounded-pop loop visits exactly the events at or before the
+        /// horizon, and leaves the rest queued.
         #[test]
-        fn run_until_partitions_by_horizon(
+        fn bounded_pops_partition_by_horizon(
             times in proptest::collection::vec(0u64..1_000, 0..100),
             horizon in 0u64..1_000,
         ) {
@@ -360,12 +363,14 @@ mod proptests {
             for &t in &times {
                 q.schedule_at(SimTime::from_micros(t), t);
             }
+            let horizon = SimTime::from_micros(horizon);
             let mut processed = 0usize;
-            run_until(&mut q, SimTime::from_micros(horizon), |_, _, _| {
+            while let Some((t, e)) = q.pop_if_at_or_before(horizon) {
+                prop_assert!(t <= horizon);
+                prop_assert_eq!(t.as_micros(), e);
                 processed += 1;
-                Control::Continue
-            });
-            let expected = times.iter().filter(|&&t| t <= horizon).count();
+            }
+            let expected = times.iter().filter(|&&t| t <= horizon.as_micros()).count();
             prop_assert_eq!(processed, expected);
             prop_assert_eq!(q.len(), times.len() - expected);
         }

@@ -525,19 +525,38 @@ impl fmt::Display for ExperimentRun<'_> {
                 for m in e.metrics {
                     let (mean, sd) = m.of(r);
                     let d = m.decimals();
-                    write!(f, " {:>24}", format!("{mean:.d$} ± {sd:.d$}"))?;
+                    let cell = if mean.is_nan() {
+                        NO_SAMPLES.to_string()
+                    } else {
+                        format!("{mean:.d$} ± {sd:.d$}")
+                    };
+                    write!(f, " {cell:>24}")?;
                 }
                 writeln!(f)?;
             }
             if let [h, r] = &p.reports[..] {
                 write!(f, "{:>18} {:>9}", "", "ratio")?;
                 for m in e.metrics {
-                    write!(f, " {:>24.3}", m.of(h).0 / m.of(r).0)?;
+                    write!(f, " {:>24}", ratio_cell(m.of(h).0 / m.of(r).0))?;
                 }
                 writeln!(f)?;
             }
         }
         Ok(())
+    }
+}
+
+/// What a text table prints for a metric with no samples (a latency where
+/// no query was answered), and for a ratio it cannot form.
+const NO_SAMPLES: &str = "—";
+
+/// A ratio to three decimals, or [`NO_SAMPLES`] when a side had no samples
+/// or the denominator is zero.
+fn ratio_cell(ratio: f64) -> String {
+    if ratio.is_finite() {
+        format!("{ratio:.3}")
+    } else {
+        NO_SAMPLES.to_string()
     }
 }
 
@@ -645,17 +664,22 @@ impl fmt::Display for Figure {
             "{:>12} {:>20} {:>20} {:>10}",
             self.x_label, "HLSRG", "RLSMP", "ratio"
         )?;
+        let cell = |(mean, sd): (f64, f64)| {
+            if mean.is_nan() {
+                format!("{NO_SAMPLES:>20}")
+            } else {
+                format!("{mean:>13.2} ±{sd:>5.2}")
+            }
+        };
         for p in &self.points {
-            let ((h, hs), (r, rs)) = (self.metric.of(&p.hlsrg), self.metric.of(&p.rlsmp));
+            let (h, r) = (self.metric.of(&p.hlsrg), self.metric.of(&p.rlsmp));
             writeln!(
                 f,
-                "{:>12} {:>13.2} ±{:>5.2} {:>13.2} ±{:>5.2} {:>10.3}",
+                "{:>12} {} {} {:>10}",
                 p.x,
-                h,
-                hs,
-                r,
-                rs,
-                h / r
+                cell(h),
+                cell(r),
+                ratio_cell(h.0 / r.0)
             )?;
         }
         writeln!(
@@ -839,6 +863,73 @@ mod tests {
             Some(format!("2,X,0,0,2,{}", 2f64.sqrt()).as_str())
         );
         assert_eq!(lines.next(), None);
+    }
+
+    #[test]
+    fn a_point_with_no_answered_query_prints_a_marker_not_nan() {
+        let e = Experiment {
+            name: "demo",
+            title: "t",
+            x_label: "range (m)",
+            points: |_, _| Vec::new(),
+            protocols: BOTH,
+            seed: 9,
+            reps: 2,
+            metrics: &[Metric::SuccessRate, Metric::MeanLatency],
+            figures: &[],
+        };
+        // Two runs that answered nothing: no latency sample at all.
+        let unanswered = || RunReport::from_counters("X", 0, 1, 1.0, &NetCounters::new());
+        let none = AveragedReport::from_runs(&[unanswered(), unanswered()]);
+        assert_eq!(none.success_rate, 0.0);
+        assert!(none.mean_latency.is_nan());
+        let run = ExperimentRun {
+            experiment: &e,
+            scale: FigureScale::Smoke,
+            points: vec![ExperimentPoint {
+                key: Key::X(250.0),
+                reports: vec![none.clone(), latency_runs(&[1.0, 3.0])],
+            }],
+        };
+        let shown = run.to_string();
+        assert!(!shown.contains("NaN"), "{shown}");
+        let lines: Vec<&str> = shown.lines().collect();
+        // The no-sample row ends in the marker, the other keeps mean ± sd.
+        assert!(
+            lines[3].ends_with(&format!("0.00 ± 0.00 {NO_SAMPLES:>24}")),
+            "{shown}"
+        );
+        assert!(lines[4].ends_with("2.000 ± 1.414"), "{shown}");
+        // The ratio line: 0/0 success and a missing latency both print it.
+        assert_eq!(
+            lines[5].split_whitespace().collect::<Vec<_>>(),
+            ["ratio", NO_SAMPLES, NO_SAMPLES],
+            "{shown}"
+        );
+        // The CSV keeps the raw values.
+        assert!(run.to_csv().contains("250,X,0,0,NaN,0"));
+
+        let fig = figure(
+            Metric::MeanLatency,
+            "range",
+            vec![ComparisonPoint {
+                x: 250.0,
+                hlsrg: none,
+                rlsmp: latency_runs(&[2.0]),
+            }],
+        );
+        let shown = fig.to_string();
+        assert!(!shown.contains("NaN"), "{shown}");
+        assert_eq!(
+            shown
+                .lines()
+                .nth(2)
+                .unwrap()
+                .split_whitespace()
+                .collect::<Vec<_>>(),
+            ["250", NO_SAMPLES, "2.00", "±", "0.00", NO_SAMPLES],
+            "{shown}"
+        );
     }
 
     #[test]

@@ -30,10 +30,7 @@ pub mod replicate;
 pub mod report;
 pub mod runner;
 
-pub use bench::{
-    append_trajectory, compare_trajectory, parse_trajectory, run_bench, AllocCounter, BenchOptions,
-    BenchRecord, BenchScale, CompareRow, BENCH_SHARD_COUNTS,
-};
+pub use bench::{parse_trajectory, BenchRecord};
 pub use config::{ConfigError, Protocol, SimConfig};
 pub use figures::{
     paper_figures, ComparisonPoint, Experiment, ExperimentPoint, ExperimentRun, Figure,

@@ -466,8 +466,7 @@ fn drive<L: LocationService>(
         apply(&mut queue, fx, &core.registry, &shard_of, 0);
     }
 
-    // The explicit event loop (same stopping rule as `vanet_des::run_until`:
-    // process while the head event's time is `<= horizon`).
+    // The event loop: process while the head event's time is `<= horizon`.
     let horizon = SimTime::ZERO + cfg.duration;
     let mut events_processed = 0u64;
     let mut peak_queue_depth = queue.len();

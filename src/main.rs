@@ -1,77 +1,35 @@
-//! `hlsrg` — command-line front end for the reproduction suite.
+//! `hlsrg-suite` — command-line front end for the reproduction suite.
 //!
 //! ```text
-//! hlsrg run      [--protocol hlsrg|rlsmp] [--vehicles N] [--map-size M] [--seed S]
-//!                [--duration SECS] [--shards N] [--threads N] [--csv] [--trace-out FILE]
-//!                [--telemetry-out FILE] [--telemetry-interval SECS]
-//! hlsrg figures  [--experiment NAME] [--paper] [--csv]
-//! hlsrg compare  [--vehicles N] [--map-size M] [--seed S] [--duration SECS] [--reps R]
-//! hlsrg map      [--size M] [--jitter J] [--seed S] [--out FILE]
-//! hlsrg inspect  FILE [--top N] [--query ID]
-//! hlsrg report   [--telemetry FILE] [--bench FILE] [--figures none|smoke|paper]
-//!                [--title T] [--out FILE]
-//! hlsrg bench    [--compare LABEL] [--threshold PCT]
+//! hlsrg-suite run      [--protocol hlsrg|rlsmp] [--vehicles N] [--map-size M] [--seed S]
+//!                      [--duration SECS] [--shards N] [--threads N] [--csv]
+//!                      [--trace-out FILE] [--telemetry-out FILE] [--telemetry-interval SECS]
+//! hlsrg-suite figures  [--experiment NAME] [--paper] [--csv]
+//! hlsrg-suite compare  [--vehicles N] [--map-size M] [--seed S] [--duration SECS] [--reps R]
+//! hlsrg-suite map      [--size M] [--jitter J] [--seed S] [--out FILE]
+//! hlsrg-suite trace    [--size M] [--vehicles N] [--duration SECS] [--seed S] [--out FILE]
+//! hlsrg-suite inspect  FILE [--top N] [--query ID]
+//! hlsrg-suite fuzz     [--runs N] [--seed S] [--out FILE] [--replay FILE] [--corrupt]
+//!                      [--pool N|auto]
+//! hlsrg-suite report   [--telemetry FILE] [--bench FILE] [--figures none|smoke|paper]
+//!                      [--title T] [--out FILE]
 //! ```
+//!
+//! Performance is measured by the separate `hlsrg-bench` harness; `report
+//! --bench` only renders the committed history in `BENCH_sim.json`.
 
 use hlsrg_suite::des::{SimDuration, SimTime};
 use hlsrg_suite::mobility::{LightConfig, MobilityConfig, MobilityModel, Ns2Trace, TrafficLights};
 use hlsrg_suite::roadnet::{generate_grid, to_map_text, GridMapSpec};
 use hlsrg_suite::scenario::{
-    paper_figures, replicate_averaged, run_simulation, run_simulation_instrumented, AllocCounter,
-    BenchOptions, BenchScale, Experiment, FigureScale, Protocol, RunReport, SimConfig, EXPERIMENTS,
+    paper_figures, replicate_averaged, run_simulation, run_simulation_instrumented, Experiment,
+    FigureScale, Protocol, RunReport, SimConfig, EXPERIMENTS,
 };
 use hlsrg_suite::trace::{cause_name, registry_from_events, TraceEvent};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::process::ExitCode;
-
-/// A pass-through global allocator that counts allocations while armed,
-/// feeding the `bench` subcommand's allocations-per-event estimate. `bench`
-/// arms it only around the repetition it counts; unarmed, every allocation
-/// pays one relaxed load.
-mod counting_alloc {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    static ARMED: AtomicBool = AtomicBool::new(false);
-    static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-    pub struct CountingAlloc;
-
-    // SAFETY: defers every operation to `System` unchanged; the only addition
-    // is a statistic kept in atomics, which never allocate.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            if ARMED.load(Ordering::Relaxed) {
-                ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            }
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            if ARMED.load(Ordering::Relaxed) {
-                ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            }
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: CountingAlloc = CountingAlloc;
-
-    pub fn arm(on: bool) {
-        ARMED.store(on, Ordering::Relaxed);
-    }
-
-    pub fn count() -> u64 {
-        ALLOCATIONS.load(Ordering::Relaxed)
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -98,10 +56,6 @@ fn main() -> ExitCode {
         "map" => (cmd_map, "size jitter seed out"),
         "trace" => (cmd_trace, "size vehicles duration seed out"),
         "fuzz" => (cmd_fuzz, "runs seed out replay corrupt pool"),
-        "bench" => (
-            cmd_bench,
-            "scale reps threads label only out check compare threshold",
-        ),
         "report" => (cmd_report, "telemetry bench figures title out"),
         "help" | "--help" | "-h" => {
             usage();
@@ -125,7 +79,7 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!(
-        "hlsrg — HLSRG location-service reproduction (ICPP Workshops 2010)
+        "hlsrg-suite — HLSRG location-service reproduction (ICPP Workshops 2010)
 
 commands:
   run      one simulation            --protocol hlsrg|rlsmp  --vehicles N
@@ -156,18 +110,9 @@ commands:
            oracle armed              --corrupt (arm the table-corruption
                                      self-test mutation)
                                      --pool N|auto (fan cases over the job pool)
-  bench    time the canonical        --scale smoke|paper|large (or
-           scenarios and append to   HLSRG_BENCH_SCALE); large = 10k vehicles,
-           the perf trajectory       shard-scaling rows only
-                                     --reps N  --threads N  --label NAME
-                                     --only SCENARIO (one row, e.g. hlsrg_shards1)
-                                     --out FILE (default BENCH_sim.json)
-                                     --check FILE (validate a trajectory, no runs)
-                                     --compare LABEL (diff newest rows vs that
-                                     baseline; nonzero exit past --threshold PCT,
-                                     default 20)
   report   render one self-contained --telemetry FILE (from run --telemetry-out)
-           HTML dashboard            --bench FILE (perf trajectory)
+           HTML dashboard            --bench FILE (perf history, e.g.
+                                     BENCH_sim.json)
                                      --figures none|smoke|paper (sweep curves)
                                      --title T  --out FILE (default report.html)
   help     this message"
@@ -759,13 +704,9 @@ fn cmd_fuzz(flags: &Flags) -> ExitCode {
     }
 }
 
-/// `bench` — time the canonical scenarios and append to the perf trajectory.
-///
-/// The scale comes from `--scale`, falling back to the `HLSRG_BENCH_SCALE`
-/// environment variable (the CI hook), then to `smoke`. `--check FILE`
-/// validates an existing trajectory without running anything.
-/// `report` — render telemetry, figure sweeps, and the bench trajectory into
-/// one self-contained HTML file (inline SVG/CSS only; no external assets).
+/// `report` — render telemetry, figure sweeps, and the committed bench
+/// history into one self-contained HTML file (inline SVG/CSS only; no
+/// external assets).
 fn cmd_report(flags: &Flags) -> ExitCode {
     use hlsrg_suite::scenario::{parse_trajectory, render_report, ReportInputs};
     use hlsrg_suite::trace::parse_telemetry_jsonl;
@@ -848,157 +789,6 @@ fn cmd_report(flags: &Flags) -> ExitCode {
         bench.len()
     );
     ExitCode::SUCCESS
-}
-
-fn cmd_bench(flags: &Flags) -> ExitCode {
-    use hlsrg_suite::scenario::{
-        append_trajectory, compare_trajectory, parse_trajectory, run_bench,
-    };
-
-    if let Some(baseline) = flags.get("compare") {
-        let out = flags
-            .get("out")
-            .cloned()
-            .unwrap_or_else(|| "BENCH_sim.json".into());
-        let threshold = get(flags, "threshold", 20.0f64);
-        let text = match std::fs::read_to_string(&out) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let records = match parse_trajectory(&text) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let rows = match compare_trajectory(&records, baseline, threshold) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if rows.is_empty() {
-            eprintln!(
-                "error: no scenario in {out} has both a {baseline:?} baseline and a newer row"
-            );
-            return ExitCode::FAILURE;
-        }
-        let mut regressed = false;
-        println!(
-            "{:<8} {:<14} {:>14} {:>14} {:>9}",
-            "scale", "scenario", "baseline ev/s", "current ev/s", "delta"
-        );
-        for row in &rows {
-            regressed |= row.regressed;
-            println!(
-                "{:<8} {:<14} {:>14.0} {:>14.0} {:>+8.1}%{}",
-                row.scale,
-                row.scenario,
-                row.baseline_eps,
-                row.current_eps,
-                row.delta_pct,
-                if row.regressed { "  REGRESSED" } else { "" }
-            );
-        }
-        return if regressed {
-            eprintln!(
-                "error: events/sec regressed more than {threshold}% vs baseline {baseline:?}"
-            );
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
-    }
-
-    if let Some(path) = flags.get("check") {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match parse_trajectory(&text) {
-            Ok(records) => {
-                println!("{path}: {} valid bench records", records.len());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let scale_name = flags
-        .get("scale")
-        .cloned()
-        .or_else(|| std::env::var("HLSRG_BENCH_SCALE").ok())
-        .unwrap_or_else(|| "smoke".into());
-    let Some(scale) = BenchScale::parse(&scale_name) else {
-        eprintln!("error: unknown bench scale {scale_name:?} (use smoke, paper, or large)");
-        return ExitCode::FAILURE;
-    };
-    let mut opts = BenchOptions {
-        scale,
-        alloc_counter: Some(AllocCounter {
-            arm: counting_alloc::arm,
-            count: counting_alloc::count,
-        }),
-        ..BenchOptions::default()
-    };
-    opts.reps = get_positive(flags, "reps", opts.reps);
-    opts.threads = get_positive(flags, "threads", opts.threads);
-    opts.only = flags.get("only").cloned();
-    let label = flags.get("label").cloned().unwrap_or_else(|| "dev".into());
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sim.json".into());
-
-    let records = run_bench(&opts, &label);
-    for r in &records {
-        println!(
-            "{:<14} {:>10.1} ms  {:>9} events  {:>11.0} events/s  peak queue {:>6}{}{}{}",
-            r.scenario,
-            r.wall_ms,
-            r.events,
-            r.events_per_sec,
-            r.peak_queue_depth,
-            match (r.queue_resizes, r.max_bucket_scan) {
-                (Some(rs), Some(scan)) => format!("  {rs} resizes  max scan {scan}"),
-                _ => String::new(),
-            },
-            match r.allocs_per_event {
-                Some(a) => format!("  {a:.1} allocs/event"),
-                None => String::new(),
-            },
-            match (r.shards, r.threads) {
-                (Some(s), Some(t)) => format!("  {s} shard(s) / {t} thread(s)"),
-                (Some(s), None) => format!("  {s} shard(s)"),
-                _ => String::new(),
-            }
-        );
-    }
-    match append_trajectory(std::path::Path::new(&out), &records) {
-        Ok(all) => {
-            eprintln!(
-                "appended {} records to {out} ({} total)",
-                records.len(),
-                all.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn cmd_map(flags: &Flags) -> ExitCode {

@@ -1,11 +1,10 @@
-//! End-to-end tests for the observability surface of the `hlsrg` binary:
-//! `inspect` diagnostics on damaged traces, flag validation, the `fuzz`
-//! oracle self-test, `run --telemetry-out` determinism, the `report`
-//! dashboard, and the `bench --compare` regression gate.
+//! End-to-end tests for the observability surface of the `hlsrg-suite`
+//! binary: `inspect` diagnostics on damaged traces, flag validation, the
+//! `fuzz` oracle self-test, `run --telemetry-out` determinism, and the
+//! `report` dashboard with its validation of the bench history.
 
 use hlsrg_suite::scenario::{
-    append_trajectory, run_simulation_instrumented, run_simulation_traced, BenchRecord, Protocol,
-    SimConfig,
+    run_simulation_instrumented, run_simulation_traced, Protocol, SimConfig,
 };
 use hlsrg_suite::trace::{parse_telemetry_jsonl, telemetry_to_jsonl, truncation_line};
 use std::path::PathBuf;
@@ -96,8 +95,6 @@ fn unparsable_flag_values_fail_naming_the_flag() {
         (vec!["run", "--shards", "0"], "--shards"),
         (vec!["run", "--threads", "0"], "--threads"),
         (vec!["compare", "--reps", "0"], "--reps"),
-        (vec!["bench", "--reps", "0"], "--reps"),
-        (vec!["bench", "--threads", "0"], "--threads"),
         (vec!["figures", "--experiment", "fig3_2"], "--experiment"),
         (
             vec!["inspect", trace.to_str().unwrap(), "--top", "abc"],
@@ -222,10 +219,9 @@ fn report_renders_a_self_contained_dashboard() {
     let telemetry_path = tmp("report-telemetry.jsonl");
     std::fs::write(&telemetry_path, telemetry_to_jsonl(&samples)).unwrap();
 
-    // A tiny bench trajectory alongside it.
+    // A one-row bench history alongside it.
     let bench_path = tmp("report-bench.json");
-    let _ = std::fs::remove_file(&bench_path);
-    append_trajectory(&bench_path, &[bench_rec("base", 1000.0)]).unwrap();
+    std::fs::write(&bench_path, format!("[\n{BENCH_ROW}\n]\n")).unwrap();
 
     let html_path = tmp("report.html");
     let out = run(&[
@@ -252,54 +248,45 @@ fn report_renders_a_self_contained_dashboard() {
     }
 }
 
-fn bench_rec(label: &str, eps: f64) -> BenchRecord {
-    BenchRecord {
-        label: label.into(),
-        scale: "smoke".into(),
-        scenario: "hlsrg_single".into(),
-        wall_ms: 10.0,
-        events: (eps / 100.0) as u64,
-        events_per_sec: eps,
-        peak_queue_depth: 10,
-        allocs_per_event: None,
-        queue_resizes: None,
-        max_bucket_scan: None,
-        shards: None,
-        threads: None,
-    }
-}
+/// One row of the bench history, in the committed `BENCH_sim.json` schema.
+const BENCH_ROW: &str = "{\"label\":\"base\",\"scale\":\"smoke\",\"scenario\":\"hlsrg_single\",\
+    \"wall_ms\":10.0,\"events\":10,\"events_per_sec\":1000.0,\"peak_queue_depth\":10,\
+    \"allocs_per_event\":null,\"queue_resizes\":null,\"max_bucket_scan\":null,\
+    \"shards\":null,\"threads\":null}";
 
 #[test]
-fn bench_compare_gates_on_injected_regression() {
-    let path = tmp("compare.json");
-    let _ = std::fs::remove_file(&path);
-    append_trajectory(&path, &[bench_rec("pr6-baseline", 1000.0)]).unwrap();
-    append_trajectory(&path, &[bench_rec("dev", 700.0)]).unwrap();
-
-    // 30% below baseline trips the default 20% threshold.
-    let out = run(&[
-        "bench",
-        "--compare",
-        "pr6-baseline",
-        "--out",
-        path.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success(), "a 30% drop must exit nonzero");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSED"));
-
-    // A looser threshold lets the same trajectory pass.
-    let out = run(&[
-        "bench",
-        "--compare",
-        "pr6-baseline",
-        "--threshold",
-        "50",
-        "--out",
-        path.to_str().unwrap(),
-    ]);
+fn report_rejects_a_malformed_bench_history() {
+    let html_path = tmp("rejected.html");
+    for (name, text, wanted) in [
+        (
+            "bad-line.json",
+            format!("[\n{BENCH_ROW},\n{{\"label\":\"broken\"}}\n]\n"),
+            "invalid bench record line: \"{\\\"label\\\":\\\"broken\\\"}\"",
+        ),
+        (
+            "unclosed.json",
+            format!("[\n{BENCH_ROW}\n"),
+            "must end with a ']' line",
+        ),
+    ] {
+        let path = tmp(name);
+        std::fs::write(&path, text).unwrap();
+        let out = run(&[
+            "report",
+            "--bench",
+            path.to_str().unwrap(),
+            "--out",
+            html_path.to_str().unwrap(),
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{name} must exit 1");
+        let err = stderr_of(&out);
+        assert!(
+            err.contains(&format!("error: {}: ", path.display())) && err.contains(wanted),
+            "{name}: stderr should name the file and {wanted:?}, got:\n{err}"
+        );
+    }
     assert!(
-        out.status.success(),
-        "30% drop is within a 50% threshold: {}",
-        stderr_of(&out)
+        !html_path.exists(),
+        "a rejected history must write no report"
     );
 }
