@@ -6,11 +6,12 @@
 //! is identical on every machine and every run. The scenario crate converts a
 //! case into a full `SimConfig`; this module only owns the knobs, the shrink
 //! order, and the corpus encoding (hand-rolled JSON: the vendored serde is a
-//! no-op stand-in).
+//! no-op stand-in), read back through `vanet_trace::jsonl`.
 
 use rand::rngs::SmallRng;
 use rand::RngExt;
 use vanet_des::{stream_rng, StreamId};
+use vanet_trace::jsonl::{self, JsonlError, LineError};
 
 /// One fuzzer scenario: the knobs that vary across seeded runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,54 +102,41 @@ impl FuzzCase {
         )
     }
 
-    /// Parses one corpus line; `None` for blanks, comments, or malformed lines.
-    pub fn parse_line(line: &str) -> Option<FuzzCase> {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return None;
-        }
-        let body = line.strip_prefix('{')?.strip_suffix('}')?;
-        let mut case = FuzzCase {
-            seed: 0,
-            rlsmp: false,
-            map_size: 0.0,
-            vehicles: 0,
-            duration_s: 0,
-            warmup_s: 0,
-            query_fraction: 0.0,
-            l1_size: 0.0,
-            reliable_fraction: 1.0,
-            wired_backbone: false,
-            corrupt: false,
-        };
-        let mut required = 0u32;
-        for field in body.split(',') {
-            let (key, value) = field.split_once(':')?;
-            let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
-            let value = value.trim();
-            match key {
-                "seed" => case.seed = value.parse().ok()?,
-                "rlsmp" => case.rlsmp = value.parse().ok()?,
-                "map_size" => case.map_size = value.parse().ok()?,
-                "vehicles" => case.vehicles = value.parse().ok()?,
-                "duration_s" => case.duration_s = value.parse().ok()?,
-                "warmup_s" => case.warmup_s = value.parse().ok()?,
-                "query_fraction" => case.query_fraction = value.parse().ok()?,
-                "l1_size" => case.l1_size = value.parse().ok()?,
-                "reliable_fraction" => case.reliable_fraction = value.parse().ok()?,
-                "wired_backbone" => case.wired_backbone = value.parse().ok()?,
-                "corrupt" => case.corrupt = value.parse().ok()?,
-                _ => return None,
-            }
-            required += 1;
-        }
-        (required >= 10).then_some(case)
+    /// Parses one corpus line produced by [`Self::to_jsonl`].
+    pub fn parse_line(line: &str) -> Result<FuzzCase, JsonlError> {
+        jsonl::decode(line, |obj| {
+            Ok(FuzzCase {
+                seed: obj.uint("seed")?,
+                rlsmp: obj.bool("rlsmp")?,
+                map_size: obj.f64("map_size")?,
+                vehicles: obj.uint("vehicles")?,
+                duration_s: obj.uint("duration_s")?,
+                warmup_s: obj.uint("warmup_s")?,
+                query_fraction: obj.f64("query_fraction")?,
+                l1_size: obj.f64("l1_size")?,
+                reliable_fraction: obj.f64("reliable_fraction")?,
+                wired_backbone: obj.bool("wired_backbone")?,
+                corrupt: obj.bool("corrupt")?,
+            })
+        })
     }
 
     /// A rough cost/size measure used by tests to confirm shrinking helps.
     pub fn weight(&self) -> f64 {
         self.vehicles as f64 * self.duration_s as f64 + self.map_size
     }
+}
+
+/// Parses a corpus: one case per line, skipping blank lines and `#` comments.
+/// Any other line that is not a case is an error naming it.
+pub fn parse_corpus(text: &str) -> Result<Vec<FuzzCase>, LineError> {
+    jsonl::lines(text)
+        .filter(|(_, line)| !line.starts_with('#'))
+        .map(|(no, line)| {
+            FuzzCase::parse_line(line)
+                .map_err(|e| LineError::record(no, "not a valid fuzz case", line, e))
+        })
+        .collect()
 }
 
 /// Uniform choice from a fixed slate (SmallRng has no slice helper).
@@ -178,12 +166,40 @@ mod tests {
             let mut case = FuzzCase::generate(99, i);
             case.corrupt = i % 3 == 0;
             let line = case.to_jsonl();
-            assert_eq!(FuzzCase::parse_line(&line), Some(case), "line: {line}");
+            assert_eq!(FuzzCase::parse_line(&line), Ok(case), "line: {line}");
         }
-        assert_eq!(FuzzCase::parse_line(""), None);
-        assert_eq!(FuzzCase::parse_line("# comment"), None);
-        assert_eq!(FuzzCase::parse_line("{\"seed\":1}"), None);
-        assert_eq!(FuzzCase::parse_line("not json"), None);
+        for line in ["", "# comment", "{\"seed\":1}", "not json"] {
+            assert!(FuzzCase::parse_line(line).is_err(), "{line:?}");
+        }
+        // Every key is required once: ten keys with one repeated is not a case.
+        let line = FuzzCase::generate(99, 0).to_jsonl();
+        let no_seed = line.replacen("\"seed\":", "\"vehicles\":", 1);
+        assert_eq!(
+            FuzzCase::parse_line(&no_seed),
+            Err(JsonlError::Duplicate("vehicles".into()))
+        );
+        // A 20-digit seed keeps its exact value; one past u64::MAX is an error.
+        let mut case = FuzzCase::generate(99, 1);
+        case.seed = u64::MAX - 2;
+        assert_eq!(FuzzCase::parse_line(&case.to_jsonl()), Ok(case.clone()));
+        let over = case
+            .to_jsonl()
+            .replace("18446744073709551613", "18446744073709551616");
+        assert!(matches!(
+            FuzzCase::parse_line(&over),
+            Err(JsonlError::Invalid(key, _)) if key == "seed"
+        ));
+    }
+
+    #[test]
+    fn corpus_skips_comments_and_names_a_bad_line() {
+        let case = FuzzCase::generate(3, 0);
+        let text = format!("# header\n\n{}\n", case.to_jsonl());
+        assert_eq!(parse_corpus(&text), Ok(vec![case.clone()]));
+        let text = format!("{}\n{{\"seed\":\"x\"}}\n", case.to_jsonl());
+        let err = parse_corpus(&text).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.reason.contains("key \"seed\""), "{}", err.reason);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 pub mod case;
 pub mod oracle;
 
-pub use case::FuzzCase;
+pub use case::{parse_corpus, FuzzCase};
 pub use oracle::{class_ix, Oracle, PendingDeliver, Violation};
 
 #[cfg(test)]

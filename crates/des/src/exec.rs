@@ -1,7 +1,7 @@
 //! Epoch executor: region shards as labels on one event queue, with the
 //! conservative-sync contract audited event by event.
 //!
-//! [`EpochExecutor`] is a [`SyncLedger`] plus one [`EventQueue`] whose payloads
+//! [`EpochExecutor`] is a `SyncLedger` plus one [`EventQueue`] whose payloads
 //! carry the shard each event was routed to. Every schedule books its shard
 //! and draws a global sequence number in the ledger, then enters the queue;
 //! every pop leaves the queue and is booked against its shard.

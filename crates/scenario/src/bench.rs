@@ -7,9 +7,11 @@
 //! per second, the peak event-queue depth, and in later rows an
 //! allocations-per-event estimate and event-queue telemetry.
 //!
-//! The file is a JSON array with one flat record object per line, so it is
-//! parsed with the same line-splitting idiom as the fuzz corpus, without a
-//! full JSON parser.
+//! The file is a JSON array with one flat record object per line. Each row
+//! reads through `vanet_trace::jsonl`, the strict line reader shared with
+//! traces, telemetry and the fuzz corpus; the `[` and `]` lines frame it.
+
+use vanet_trace::jsonl::{self, JsonlError, LineError, Object};
 
 /// One measured scenario: a line of the trajectory file.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,109 +51,51 @@ pub struct BenchRecord {
     pub threads: Option<u64>,
 }
 
-/// An optional field's value: `Some(None)` for `null`, `None` when it does
-/// not parse.
-fn nullable<T: std::str::FromStr>(value: &str) -> Option<Option<T>> {
-    if value == "null" {
-        Some(None)
-    } else {
-        value.parse().ok().map(Some)
-    }
-}
-
 impl BenchRecord {
-    /// Parses one trajectory line; `None` for blanks, brackets, or malformed
-    /// records (a validation failure, not a skip, for anything inside `[...]`).
-    pub fn parse_line(line: &str) -> Option<BenchRecord> {
-        let line = line.trim().trim_end_matches(',');
-        let body = line.strip_prefix('{')?.strip_suffix('}')?;
-        let mut rec = BenchRecord {
-            label: String::new(),
-            scale: String::new(),
-            scenario: String::new(),
-            wall_ms: f64::NAN,
-            events: 0,
-            events_per_sec: f64::NAN,
-            peak_queue_depth: 0,
-            allocs_per_event: None,
-            queue_resizes: None,
-            max_bucket_scan: None,
-            shards: None,
-            threads: None,
-        };
-        let mut required = 0u32;
-        for field in body.split(',') {
-            let (key, value) = field.split_once(':')?;
-            let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
-            let value = value.trim();
-            let unquote = |v: &str| {
-                v.strip_prefix('"')
-                    .and_then(|v| v.strip_suffix('"'))
-                    .map(str::to_string)
-            };
-            match key {
-                "label" => rec.label = unquote(value)?,
-                "scale" => rec.scale = unquote(value)?,
-                "scenario" => rec.scenario = unquote(value)?,
-                "wall_ms" => rec.wall_ms = value.parse().ok()?,
-                "events" => rec.events = value.parse().ok()?,
-                "events_per_sec" => rec.events_per_sec = value.parse().ok()?,
-                "peak_queue_depth" => rec.peak_queue_depth = value.parse().ok()?,
-                // Optional keys: not counted toward `required`.
-                "allocs_per_event" => {
-                    rec.allocs_per_event = nullable(value)?;
-                    continue;
-                }
-                "queue_resizes" => {
-                    rec.queue_resizes = nullable(value)?;
-                    continue;
-                }
-                "max_bucket_scan" => {
-                    rec.max_bucket_scan = nullable(value)?;
-                    continue;
-                }
-                "shards" => {
-                    rec.shards = nullable(value)?;
-                    continue;
-                }
-                "threads" => {
-                    rec.threads = nullable(value)?;
-                    continue;
-                }
-                _ => return None,
-            }
-            required += 1;
-        }
-        (required == 7).then_some(rec)
+    /// Parses one trajectory row (without its trailing comma).
+    pub fn parse_line(line: &str) -> Result<BenchRecord, JsonlError> {
+        jsonl::decode(line, |obj| {
+            Ok(BenchRecord {
+                label: obj.str("label")?.to_string(),
+                scale: obj.str("scale")?.to_string(),
+                scenario: obj.str("scenario")?.to_string(),
+                wall_ms: obj.f64("wall_ms")?,
+                events: obj.uint("events")?,
+                events_per_sec: obj.f64("events_per_sec")?,
+                peak_queue_depth: obj.uint("peak_queue_depth")?,
+                allocs_per_event: obj.nullable("allocs_per_event", Object::f64)?,
+                queue_resizes: obj.nullable("queue_resizes", Object::uint)?,
+                max_bucket_scan: obj.nullable("max_bucket_scan", Object::uint)?,
+                shards: obj.nullable("shards", Object::uint)?,
+                threads: obj.nullable("threads", Object::uint)?,
+            })
+        })
     }
 }
 
-/// Parses and validates a whole trajectory file: a JSON array, one record per
-/// line. Returns the records, or a message naming the first offending line.
-pub fn parse_trajectory(text: &str) -> Result<Vec<BenchRecord>, String> {
-    let mut lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
-    if lines.next() != Some("[") {
-        return Err("trajectory file must start with a '[' line".to_string());
+/// Parses and validates a whole trajectory file: a `[` line, one record per
+/// line, and a `]` line. Returns the records, or the first offending line.
+pub fn parse_trajectory(text: &str) -> Result<Vec<BenchRecord>, LineError> {
+    let lines: Vec<(usize, &str)> = jsonl::lines(text).collect();
+    let fail = |line, reason: String| Err(LineError { line, reason });
+    let Some((&(_, "["), rest)) = lines.split_first() else {
+        let first = lines.first().map_or(1, |l| l.0);
+        return fail(first, "trajectory file must start with a '[' line".into());
+    };
+    let Some(close) = rest.iter().position(|&(_, line)| line == "]") else {
+        return fail(
+            text.lines().count(),
+            "trajectory file must end with a ']' line".into(),
+        );
+    };
+    if let Some(&(no, line)) = rest.get(close + 1) {
+        return fail(no, format!("content after closing ']': {line:?}"));
     }
-    let mut records = Vec::new();
-    let mut closed = false;
-    for line in lines {
-        if closed {
-            return Err(format!("content after closing ']': {line:?}"));
-        }
-        if line == "]" {
-            closed = true;
-            continue;
-        }
-        match BenchRecord::parse_line(line) {
-            Some(r) => records.push(r),
-            None => return Err(format!("invalid bench record line: {line:?}")),
-        }
-    }
-    if !closed {
-        return Err("trajectory file must end with a ']' line".to_string());
-    }
-    Ok(records)
+    let row = |&(no, line): &(usize, &str)| {
+        BenchRecord::parse_line(line.strip_suffix(',').unwrap_or(line))
+            .map_err(|e| LineError::record(no, "invalid bench record line", line, e))
+    };
+    rest[..close].iter().map(row).collect()
 }
 
 #[cfg(test)]
@@ -190,7 +134,7 @@ mod tests {
                 threads: Some(2),
             }
         );
-        let r = BenchRecord::parse_line(&format!("{NULLS},")).expect("null row parses");
+        let r = BenchRecord::parse_line(NULLS).expect("null row parses");
         assert_eq!(r.label, "pr3-baseline");
         assert_eq!(
             (r.allocs_per_event, r.queue_resizes, r.max_bucket_scan),
@@ -200,28 +144,37 @@ mod tests {
     }
 
     #[test]
-    fn pre_calendar_rows_without_telemetry_keys_still_parse() {
-        // Rows recorded before the calendar-queue kernel lack the telemetry
-        // keys entirely; they must keep parsing (fields default to `None`).
+    fn rows_need_every_key() {
+        // Every committed row carries all twelve keys, the optional ones as
+        // `null`; a row that leaves one out is rejected, naming it.
         let line = "{\"label\":\"pr3-post\",\"scale\":\"smoke\",\"scenario\":\"figure_sweep\",\
                     \"wall_ms\":100.0,\"events\":10,\"events_per_sec\":100.0,\
                     \"peak_queue_depth\":5,\"allocs_per_event\":null}";
-        let r = BenchRecord::parse_line(line).expect("legacy row parses");
-        assert_eq!(r.queue_resizes, None);
-        assert_eq!(r.max_bucket_scan, None);
+        assert_eq!(
+            BenchRecord::parse_line(line),
+            Err(JsonlError::Missing("queue_resizes".into()))
+        );
     }
 
     #[test]
     fn malformed_lines_are_rejected() {
-        assert_eq!(BenchRecord::parse_line(""), None);
-        assert_eq!(BenchRecord::parse_line("{\"label\":\"x\"}"), None);
-        assert_eq!(BenchRecord::parse_line("not json"), None);
+        for line in ["", "{\"label\":\"x\"}", "not json"] {
+            assert!(BenchRecord::parse_line(line).is_err(), "{line:?}");
+        }
         // An unknown key is a schema violation, not an extension point.
         let line = FULL.replace("\"events\"", "\"evnets\"");
-        assert_eq!(BenchRecord::parse_line(&line), None);
+        assert_eq!(
+            BenchRecord::parse_line(&line),
+            Err(JsonlError::Missing("events".into()))
+        );
+        let line = FULL.replace("\"threads\":2}", "\"threads\":2,\"cores\":2}");
+        assert_eq!(
+            BenchRecord::parse_line(&line),
+            Err(JsonlError::Unknown("cores".into()))
+        );
         // So is an optional key whose value is neither `null` nor a number.
         let line = FULL.replace("\"shards\":4", "\"shards\":four");
-        assert_eq!(BenchRecord::parse_line(&line), None);
+        assert!(BenchRecord::parse_line(&line).is_err());
     }
 
     #[test]
@@ -231,9 +184,22 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[1].scenario, "hlsrg_shards4_threads2");
         let err = parse_trajectory("[\ngarbage\n]\n").unwrap_err();
-        assert!(err.contains("\"garbage\""), "{err}");
-        assert!(parse_trajectory("{}\n").is_err());
-        assert!(parse_trajectory(&format!("[\n{FULL}\n")).is_err());
-        assert!(parse_trajectory(&format!("[\n]\n{FULL}\n")).is_err());
+        assert_eq!(err.line, 2);
+        assert!(err.reason.contains("\"garbage\""), "{err:?}");
+        assert_eq!(parse_trajectory("{}\n").unwrap_err().line, 1);
+        let unclosed = parse_trajectory(&format!("[\n{FULL}\n")).unwrap_err();
+        assert!(unclosed.reason.contains("must end with a ']' line"));
+        assert_eq!(
+            parse_trajectory(&format!("[\n]\n{FULL}\n"))
+                .unwrap_err()
+                .line,
+            3
+        );
+    }
+
+    #[test]
+    fn committed_history_parses() {
+        let history = include_str!("../../../BENCH_sim.json");
+        assert_eq!(parse_trajectory(history).map(|r| r.len()), Ok(81));
     }
 }

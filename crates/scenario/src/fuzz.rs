@@ -8,8 +8,9 @@
 
 use crate::config::{Protocol, SimConfig};
 use crate::runner::{run_simulation_checked, CheckSetup};
-use vanet_check::FuzzCase;
+use vanet_check::{parse_corpus, FuzzCase};
 use vanet_des::{SimDuration, SimTime};
+use vanet_trace::LineError;
 
 /// One fuzzer failure: the case as generated, its shrunk minimal form, and what
 /// the oracle (or panic) said.
@@ -178,17 +179,18 @@ pub fn corpus_of(failures: &[FuzzFailure]) -> String {
     out
 }
 
-/// Replays a corpus: every parseable line is re-run with the oracle armed.
-/// Returns `(case, outcome)` per line, in file order.
+/// Replays a corpus: every case line is re-run with the oracle armed.
+/// Returns `(case, outcome)` per case, in file order, or the first line that
+/// is neither a case, a `#` comment nor blank (before running anything).
 #[allow(clippy::type_complexity)]
-pub fn replay(text: &str) -> Vec<(FuzzCase, Option<(String, String)>)> {
-    text.lines()
-        .filter_map(FuzzCase::parse_line)
+pub fn replay(text: &str) -> Result<Vec<(FuzzCase, Option<(String, String)>)>, LineError> {
+    Ok(parse_corpus(text)?
+        .into_iter()
         .map(|case| {
             let outcome = run_case(&case);
             (case, outcome)
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -267,7 +269,7 @@ mod tests {
             assert!(shrunk.duration_s <= case.duration_s);
             // A shrunk reproducer replays from its corpus line.
             let line = shrunk.to_jsonl();
-            let replayed = replay(&line);
+            let replayed = replay(&line).expect("a corpus line parses");
             assert_eq!(replayed.len(), 1);
             assert!(replayed[0].1.is_some(), "replay of the reproducer passed");
         });
@@ -285,7 +287,6 @@ mod tests {
             detail: "demo".into(),
         };
         let corpus = corpus_of(std::slice::from_ref(&failure));
-        let cases: Vec<FuzzCase> = corpus.lines().filter_map(FuzzCase::parse_line).collect();
-        assert_eq!(cases, vec![a.clone(), a]);
+        assert_eq!(parse_corpus(&corpus), Ok(vec![a.clone(), a]));
     }
 }

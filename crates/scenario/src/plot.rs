@@ -5,7 +5,7 @@
 //! grow. [`ascii_chart`] renders labeled series on a character grid, and
 //! [`Figure::to_ascii_chart`](crate::figures::Figure::to_ascii_chart) applies it
 //! to a figure's HLSRG/RLSMP series. [`svg_chart`] renders the same series as an
-//! inline SVG fragment for the self-contained HTML dashboard (`hlsrg report`) —
+//! inline SVG fragment for the self-contained HTML dashboard (`hlsrg-suite report`) —
 //! both backends share one scaling model ([`Bounds`]), so a curve lands in the
 //! same relative spot whichever way it is drawn.
 

@@ -1,4 +1,4 @@
-//! The `hlsrg report` backend: a self-contained single-file HTML dashboard.
+//! The `hlsrg-suite report` backend: a self-contained single-file HTML dashboard.
 //!
 //! One call to [`render_report`] turns whatever run artifacts exist — a
 //! telemetry JSONL stream, figure-sweep curves, the `BENCH_sim.json`

@@ -928,7 +928,8 @@ mod tests {
             let cfg = SimConfig::quick_demo(7);
             let (report, tracer) = run_simulation_traced(&cfg, protocol);
             assert_eq!(tracer.overwritten(), 0, "ring too small for quick_demo");
-            let events = vanet_trace::parse_jsonl(&tracer.to_jsonl());
+            let (events, _) =
+                vanet_trace::parse_jsonl(&tracer.to_jsonl()).expect("trace reads back");
             assert_eq!(events.len(), tracer.len(), "JSONL round trip lost events");
             let reg = vanet_trace::registry_from_events(&events);
             assert_eq!(reg.originated(0), report.update_packets);
@@ -1003,7 +1004,10 @@ mod tests {
             let (_, _, again) = run_simulation_instrumented(&cfg, protocol, false);
             assert_eq!(jsonl, vanet_trace::telemetry_to_jsonl(&again));
             // And the stream round-trips through its own parser.
-            assert_eq!(vanet_trace::parse_telemetry_jsonl(&jsonl), samples);
+            assert_eq!(
+                vanet_trace::parse_telemetry_jsonl(&jsonl).as_ref(),
+                Ok(&samples)
+            );
 
             // The final tick reconciles exactly with the run's NetCounters as
             // surfaced in the report.

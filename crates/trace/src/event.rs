@@ -6,9 +6,10 @@
 //! spaces below; the tables here give the codes their JSONL names.
 //!
 //! Serialization is hand-written JSONL: every value is a number, a boolean, or
-//! one of the static names below, so no JSON library is needed and `parse_line`
-//! can round-trip anything `to_jsonl` emits.
+//! one of the static names below. Lines read back through [`crate::jsonl`], so
+//! `parse_line` round-trips anything `to_jsonl` emits and rejects anything else.
 
+use crate::jsonl::{self, JsonlError, Object};
 use vanet_des::SimTime;
 
 /// Packet-class code names, indexed by the class code
@@ -263,83 +264,84 @@ impl TraceEvent {
         }
     }
 
-    /// Parses one JSONL line produced by [`Self::to_jsonl`]. Returns `None` for
-    /// blank lines or records this version doesn't know.
-    pub fn parse_line(line: &str) -> Option<TraceEvent> {
-        let line = line.trim();
-        if line.is_empty() {
-            return None;
-        }
-        let t = SimTime::from_micros(field_u64(line, "t_us")?);
-        match field_str(line, "type")? {
-            "originated" => Some(TraceEvent::Originated {
+    /// Parses one JSONL line produced by [`Self::to_jsonl`].
+    pub fn parse_line(line: &str) -> Result<TraceEvent, JsonlError> {
+        jsonl::decode(line, Self::decode)
+    }
+
+    /// Reads an event from a tokenized line.
+    pub(crate) fn decode(obj: &Object<'_>) -> Result<TraceEvent, JsonlError> {
+        let t = SimTime::from_micros(obj.uint("t_us")?);
+        let class = || code(obj, "class", &CLASS_NAMES);
+        let query = || obj.uint("query");
+        Ok(match obj.str("type")? {
+            "originated" => TraceEvent::Originated {
                 t,
-                node: field_u64(line, "node")? as u32,
-                class: class_code(field_str(line, "class")?)?,
-            }),
-            "radio_hop" => Some(TraceEvent::RadioHop {
+                node: obj.uint("node")?,
+                class: class()?,
+            },
+            "radio_hop" => TraceEvent::RadioHop {
                 t,
-                node: field_u64(line, "node")? as u32,
-                class: class_code(field_str(line, "class")?)?,
-                n: field_u64(line, "n")?,
-            }),
-            "wired_hop" => Some(TraceEvent::WiredHop {
+                node: obj.uint("node")?,
+                class: class()?,
+                n: obj.uint("n")?,
+            },
+            "wired_hop" => TraceEvent::WiredHop {
                 t,
-                node: field_u64(line, "node")? as u32,
-                class: class_code(field_str(line, "class")?)?,
-                hops: field_u64(line, "hops")?,
-            }),
-            "dropped" => Some(TraceEvent::Dropped {
+                node: obj.uint("node")?,
+                class: class()?,
+                hops: obj.uint("hops")?,
+            },
+            "dropped" => TraceEvent::Dropped {
                 t,
-                node: field_u64(line, "node")? as u32,
-                class: class_code(field_str(line, "class")?)?,
-                cause: cause_code(field_str(line, "cause")?)?,
-            }),
-            "delivered" => Some(TraceEvent::Delivered {
+                node: obj.uint("node")?,
+                class: class()?,
+                cause: code(obj, "cause", &CAUSE_NAMES)?,
+            },
+            "delivered" => TraceEvent::Delivered {
                 t,
-                node: field_u64(line, "node")? as u32,
-                class: class_code(field_str(line, "class")?)?,
-            }),
-            "query_launched" => Some(TraceEvent::QueryLaunched {
+                node: obj.uint("node")?,
+                class: class()?,
+            },
+            "query_launched" => TraceEvent::QueryLaunched {
                 t,
-                query: field_u64(line, "query")?,
-                src: field_u64(line, "src")? as u32,
-                dst: field_u64(line, "dst")? as u32,
-                level: field_u64(line, "level")? as u8,
-            }),
-            "level_visit" => Some(TraceEvent::LevelVisit {
+                query: query()?,
+                src: obj.uint("src")?,
+                dst: obj.uint("dst")?,
+                level: obj.uint("level")?,
+            },
+            "level_visit" => TraceEvent::LevelVisit {
                 t,
-                query: field_u64(line, "query")?,
-                level: field_u64(line, "level")? as u8,
-                hit: field_bool(line, "hit")?,
-            }),
-            "route_decision" => Some(TraceEvent::RouteDecision {
+                query: query()?,
+                level: obj.uint("level")?,
+                hit: obj.bool("hit")?,
+            },
+            "route_decision" => TraceEvent::RouteDecision {
                 t,
-                query: field_u64(line, "query")?,
-                from_level: field_u64(line, "from_level")? as u8,
-                to_level: field_u64(line, "to_level")? as u8,
-            }),
-            "notify_broadcast" => Some(TraceEvent::NotifyBroadcast {
+                query: query()?,
+                from_level: obj.uint("from_level")?,
+                to_level: obj.uint("to_level")?,
+            },
+            "notify_broadcast" => TraceEvent::NotifyBroadcast {
                 t,
-                query: field_u64(line, "query")?,
-                directional: field_bool(line, "directional")?,
-            }),
-            "query_answered" => Some(TraceEvent::QueryAnswered {
+                query: query()?,
+                directional: obj.bool("directional")?,
+            },
+            "query_answered" => TraceEvent::QueryAnswered { t, query: query()? },
+            "query_retried" => TraceEvent::QueryRetried { t, query: query()? },
+            "update_triggered" => TraceEvent::UpdateTriggered {
                 t,
-                query: field_u64(line, "query")?,
-            }),
-            "query_retried" => Some(TraceEvent::QueryRetried {
-                t,
-                query: field_u64(line, "query")?,
-            }),
-            "update_triggered" => Some(TraceEvent::UpdateTriggered {
-                t,
-                vehicle: field_u64(line, "vehicle")? as u32,
-                artery: field_bool(line, "artery")?,
-                reason: reason_code(field_str(line, "reason")?)?,
-            }),
-            _ => None,
-        }
+                vehicle: obj.uint("vehicle")?,
+                artery: obj.bool("artery")?,
+                reason: code(obj, "reason", &REASON_NAMES)?,
+            },
+            other => {
+                return Err(JsonlError::Invalid(
+                    "type".into(),
+                    format!("unknown {other:?}"),
+                ))
+            }
+        })
     }
 }
 
@@ -361,47 +363,11 @@ pub fn reason_name(code: u8) -> &'static str {
         .unwrap_or("unknown")
 }
 
-fn class_code(name: &str) -> Option<u8> {
-    CLASS_NAMES.iter().position(|&n| n == name).map(|i| i as u8)
-}
-
-fn cause_code(name: &str) -> Option<u8> {
-    CAUSE_NAMES.iter().position(|&n| n == name).map(|i| i as u8)
-}
-
-fn reason_code(name: &str) -> Option<u8> {
-    REASON_NAMES
-        .iter()
-        .position(|&n| n == name)
-        .map(|i| i as u8)
-}
-
-/// Raw text of `"key":<value>` up to the next `,` or `}` (flat objects only,
-/// which is all this format ever emits).
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim())
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    field(line, key)?.parse().ok()
-}
-
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    match field(line, key)? {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    field(line, key)?
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
+/// The code of `key`'s name in the table `names`.
+fn code(obj: &Object<'_>, key: &str, names: &[&str]) -> Result<u8, JsonlError> {
+    let name = obj.str(key)?;
+    let ix = names.iter().position(|&n| n == name).map(|i| i as u8);
+    ix.ok_or_else(|| JsonlError::Invalid(key.into(), format!("unknown name {name:?}")))
 }
 
 #[cfg(test)]
@@ -485,24 +451,61 @@ mod tests {
     }
 
     #[test]
-    fn blank_and_garbage_lines_are_none() {
-        assert_eq!(TraceEvent::parse_line(""), None);
-        assert_eq!(TraceEvent::parse_line("   "), None);
-        assert_eq!(TraceEvent::parse_line("{\"type\":\"martian\"}"), None);
-        assert_eq!(TraceEvent::parse_line("not json at all"), None);
+    fn blank_and_garbage_lines_are_errors() {
+        for line in [
+            "",
+            "   ",
+            "not json at all",
+            "{\"type\":\"martian\",\"t_us\":1}",
+        ] {
+            assert!(TraceEvent::parse_line(line).is_err(), "{line:?}");
+        }
+        // Ids are range-checked, not truncated, and unknown keys are errors.
+        let err = |line: &str| TraceEvent::parse_line(line).unwrap_err();
+        assert_eq!(
+            err("{\"type\":\"delivered\",\"t_us\":1,\"node\":99999999999,\"class\":\"data\"}"),
+            JsonlError::Invalid("node".into(), "expected a u32, got 99999999999".into())
+        );
+        assert_eq!(
+            err("{\"type\":\"level_visit\",\"t_us\":1,\"query\":2,\"level\":300,\"hit\":true}"),
+            JsonlError::Invalid("level".into(), "expected a u8, got 300".into())
+        );
+        assert_eq!(
+            err("{\"type\":\"query_answered\",\"t_us\":1,\"query\":2,\"hops\":3}"),
+            JsonlError::Unknown("hops".into())
+        );
+        assert_eq!(
+            err("{\"type\":\"delivered\",\"t_us\":1,\"node\":2,\"class\":\"mail\"}"),
+            JsonlError::Invalid("class".into(), "unknown name \"mail\"".into())
+        );
     }
 
     #[test]
     fn code_tables_round_trip() {
+        let t = SimTime::ZERO;
         for (i, &n) in CLASS_NAMES.iter().enumerate() {
-            assert_eq!(class_code(n), Some(i as u8));
-            assert_eq!(class_name(i as u8), n);
+            let class = i as u8;
+            assert_eq!(class_name(class), n);
+            let ev = TraceEvent::Delivered { t, node: 1, class };
+            assert_eq!(TraceEvent::parse_line(&ev.to_jsonl()), Ok(ev));
         }
-        for (i, &n) in CAUSE_NAMES.iter().enumerate() {
-            assert_eq!(cause_code(n), Some(i as u8));
+        for cause in 0..CAUSE_NAMES.len() as u8 {
+            let ev = TraceEvent::Dropped {
+                t,
+                node: 1,
+                class: 0,
+                cause,
+            };
+            assert_eq!(TraceEvent::parse_line(&ev.to_jsonl()), Ok(ev));
         }
-        for (i, &n) in REASON_NAMES.iter().enumerate() {
-            assert_eq!(reason_code(n), Some(i as u8));
+        for reason in 0..REASON_NAMES.len() as u8 {
+            let ev = TraceEvent::UpdateTriggered {
+                t,
+                vehicle: 1,
+                artery: false,
+                reason,
+            };
+            assert_eq!(TraceEvent::parse_line(&ev.to_jsonl()), Ok(ev));
         }
         assert_eq!(class_name(200), "unknown");
     }

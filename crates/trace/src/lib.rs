@@ -13,6 +13,9 @@
 //! * **Telemetry** ([`TelemetrySampler`]): a sim-time-scheduled series of
 //!   queue, traffic and per-region load snapshots, exportable as JSONL.
 //!
+//! Every JSONL file the suite reads back goes through [`jsonl`], one strict
+//! flat-object line reader whose errors name the line, the key and the reason.
+//!
 //! The network layer holds an `Option<Box<Tracer>>`; when it is `None` the only
 //! cost per potential event is one pointer test. Events are emitted at exactly
 //! the sites where `NetCounters` are bumped, so a JSONL export reconciles
@@ -21,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod jsonl;
 pub mod registry;
 pub mod ring;
 pub mod telemetry;
@@ -28,6 +32,7 @@ pub mod telemetry;
 pub use event::{
     cause_name, class_name, reason_name, TraceEvent, CAUSE_NAMES, CLASS_NAMES, REASON_NAMES,
 };
+pub use jsonl::{JsonlError, LineError};
 pub use registry::{LevelSummary, MetricsRegistry, NodeMetrics};
 pub use ring::EventRing;
 pub use telemetry::{
@@ -124,23 +129,31 @@ impl Tracer {
     }
 }
 
-/// Parses JSONL text back into events, skipping blank/unknown lines.
-pub fn parse_jsonl(text: &str) -> Vec<TraceEvent> {
-    text.lines().filter_map(TraceEvent::parse_line).collect()
+/// The `type` of a [`truncation_line`] trailer.
+const TRUNCATED: &str = "trace_truncated";
+
+/// Parses a trace export into its events and the events its
+/// [`truncation_line`] trailers report lost; blank lines are skipped.
+pub fn parse_jsonl(text: &str) -> Result<(Vec<TraceEvent>, u64), LineError> {
+    let (mut events, mut lost) = (Vec::new(), 0u64);
+    for (no, line) in jsonl::lines(text) {
+        jsonl::decode(line, |obj| {
+            if obj.str("type")? == TRUNCATED {
+                lost = lost.saturating_add(obj.uint("lost")?);
+            } else {
+                events.push(TraceEvent::decode(obj)?);
+            }
+            Ok(())
+        })
+        .map_err(|e| LineError::record(no, "not a valid trace record", line, e))?;
+    }
+    Ok((events, lost))
 }
 
 /// The trailer a trace export appends when the ring overflowed, so readers can
 /// tell a complete export from a truncated one.
 pub fn truncation_line(lost: u64) -> String {
-    format!("{{\"type\":\"trace_truncated\",\"lost\":{lost}}}")
-}
-
-/// Recognizes a [`truncation_line`] trailer, returning the lost-event count.
-pub fn parse_truncation_line(line: &str) -> Option<u64> {
-    let rest = line
-        .trim()
-        .strip_prefix("{\"type\":\"trace_truncated\",\"lost\":")?;
-    rest.strip_suffix('}')?.parse().ok()
+    format!("{{\"type\":\"{TRUNCATED}\",\"lost\":{lost}}}")
 }
 
 /// Rebuilds a registry from an event stream (e.g. a parsed JSONL file).
@@ -186,7 +199,8 @@ mod tests {
 
         let text = tr.to_jsonl();
         assert_eq!(text.lines().count(), 3);
-        let parsed = parse_jsonl(&text);
+        let (parsed, lost) = parse_jsonl(&text).unwrap();
+        assert_eq!(lost, 0);
         let original: Vec<TraceEvent> = tr.events().copied().collect();
         assert_eq!(parsed, original);
 
@@ -198,12 +212,22 @@ mod tests {
 
     #[test]
     fn truncation_trailer_round_trips() {
-        assert_eq!(parse_truncation_line(&truncation_line(42)), Some(42));
-        assert_eq!(parse_truncation_line(&truncation_line(0)), Some(0));
-        assert_eq!(parse_truncation_line("{\"type\":\"originated\"}"), None);
-        assert_eq!(parse_truncation_line("junk"), None);
-        // The trailer is not mistaken for a trace event by the lenient parser.
-        assert!(TraceEvent::parse_line(&truncation_line(7)).is_none());
+        let ev = TraceEvent::QueryAnswered {
+            t: SimTime::ZERO,
+            query: 1,
+        };
+        let text = format!("{}\n{}\n\n", ev.to_jsonl(), truncation_line(42));
+        assert_eq!(parse_jsonl(&text), Ok((vec![ev], 42)));
+        assert_eq!(parse_jsonl(&truncation_line(0)), Ok((vec![], 0)));
+        // The trailer is not mistaken for a trace event by the line parser.
+        assert!(TraceEvent::parse_line(&truncation_line(7)).is_err());
+        // A bad line is an error naming its number, not a skipped line.
+        let text = format!("{}\njunk\n{}", ev.to_jsonl(), ev.to_jsonl());
+        let err = parse_jsonl(&text).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.reason.starts_with("not a valid trace record: \"junk\""));
+        let bad_trailer = "{\"type\":\"trace_truncated\",\"lost\":-1}";
+        assert_eq!(parse_jsonl(bad_trailer).unwrap_err().line, 1);
     }
 
     #[test]
@@ -304,7 +328,7 @@ mod proptests {
         #[test]
         fn jsonl_round_trip(ev in arb_event()) {
             let line = ev.to_jsonl();
-            prop_assert_eq!(TraceEvent::parse_line(&line), Some(ev));
+            prop_assert_eq!(TraceEvent::parse_line(&line), Ok(ev));
         }
 
         /// A ring never exceeds its capacity and `len + overwritten` equals the

@@ -19,6 +19,7 @@
 //! p50/p99 at fixed memory — the same estimator the ROADMAP's `serve` mode
 //! needs for live SLOs.
 
+use crate::jsonl::{self, JsonlError, LineError, Object};
 use std::collections::VecDeque;
 use vanet_des::{Histogram, SimDuration, SimTime};
 
@@ -205,119 +206,39 @@ impl TelemetrySample {
         )
     }
 
-    /// Parses one JSONL line back into a sample; `None` for anything that is
-    /// not a well-formed telemetry record.
-    pub fn parse_line(line: &str) -> Option<TelemetrySample> {
-        let line = line.trim();
-        if value(line, "type")? != "\"telemetry\"" {
-            return None;
-        }
-        let drops_txt = value(line, "drops")?;
-        let drops_rows = parse_nested_array(drops_txt)?;
-        if drops_rows.len() != 4 || drops_rows.iter().any(|r| r.len() != 5) {
-            return None;
-        }
-        let mut drops = [[0u64; 5]; 4];
-        for (c, row) in drops_rows.iter().enumerate() {
-            for (k, v) in row.iter().enumerate() {
-                drops[c][k] = *v;
+    /// Parses one JSONL line produced by [`Self::to_jsonl`].
+    pub fn parse_line(line: &str) -> Result<TelemetrySample, JsonlError> {
+        jsonl::decode(line, |obj| {
+            if obj.str("type")? != "telemetry" {
+                return Err(JsonlError::Invalid("type".into(), "not telemetry".into()));
             }
-        }
-        let regions_rows = parse_nested_array(value(line, "regions")?)?;
-        let mut regions = Vec::with_capacity(regions_rows.len());
-        for row in &regions_rows {
-            if row.len() != 3 {
-                return None;
-            }
-            regions.push((row[0], row[1], row[2]));
-        }
-        let tables = parse_flat_array(value(line, "table_entries")?)?;
-        if tables.len() != 3 {
-            return None;
-        }
-        let num = |key: &str| value(line, key)?.parse::<u64>().ok();
-        let opt_f64 = |key: &str| -> Option<Option<f64>> {
-            let v = value(line, key)?;
-            if v == "null" {
-                Some(None)
-            } else {
-                Some(Some(v.parse().ok()?))
-            }
-        };
-        Some(TelemetrySample {
-            t: SimTime::from_micros(num("t_us")?),
-            queue_depth: num("queue_depth")?,
-            events: num("events")?,
-            events_delta: num("events_delta")?,
-            events_per_sim_sec: value(line, "events_per_sim_sec")?.parse().ok()?,
-            inflight_queries: num("inflight_queries")?,
-            table_entries: [tables[0], tables[1], tables[2]],
-            updates: num("updates")?,
-            update_radio: num("update_radio")?,
-            query_radio: num("query_radio")?,
-            query_wired: num("query_wired")?,
-            lat_p50: opt_f64("lat_p50")?,
-            lat_p99: opt_f64("lat_p99")?,
-            lat_window: num("lat_window")?,
-            drops,
-            barriers: num("barriers")?,
-            regions,
+            Ok(TelemetrySample {
+                t: SimTime::from_micros(obj.uint("t_us")?),
+                queue_depth: obj.uint("queue_depth")?,
+                events: obj.uint("events")?,
+                events_delta: obj.uint("events_delta")?,
+                events_per_sim_sec: obj.f64("events_per_sim_sec")?,
+                inflight_queries: obj.uint("inflight_queries")?,
+                table_entries: obj.u64_array("table_entries")?,
+                updates: obj.uint("updates")?,
+                update_radio: obj.uint("update_radio")?,
+                query_radio: obj.uint("query_radio")?,
+                query_wired: obj.uint("query_wired")?,
+                lat_p50: obj.nullable("lat_p50", Object::f64)?,
+                lat_p99: obj.nullable("lat_p99", Object::f64)?,
+                lat_window: obj.uint("lat_window")?,
+                drops: obj
+                    .u64_rows("drops")?
+                    .try_into()
+                    .map_err(|_| JsonlError::Invalid("drops".into(), "not 4 rows".into()))?,
+                barriers: obj.uint("barriers")?,
+                regions: obj
+                    .u64_rows("regions")?
+                    .into_iter()
+                    .map(|[veh, ent, ev]| (veh, ent, ev))
+                    .collect(),
+            })
         })
-    }
-}
-
-/// Extracts the raw text of `"key":VALUE`, where VALUE may be a scalar,
-/// string, or (nested) array — commas inside brackets don't terminate it.
-fn value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = line[start..].trim_start();
-    let bytes = rest.as_bytes();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'"' => in_str = !in_str,
-            b'[' if !in_str => depth += 1,
-            b']' if !in_str => {
-                if depth == 0 {
-                    return Some(rest[..i].trim());
-                }
-                depth -= 1;
-            }
-            b',' | b'}' if !in_str && depth == 0 => return Some(rest[..i].trim()),
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Parses `[1,2,3]` into numbers.
-fn parse_flat_array(text: &str) -> Option<Vec<u64>> {
-    let body = text.trim().strip_prefix('[')?.strip_suffix(']')?.trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|v| v.trim().parse().ok()).collect()
-}
-
-/// Parses `[[1,2],[3,4]]` into rows of numbers.
-fn parse_nested_array(text: &str) -> Option<Vec<Vec<u64>>> {
-    let body = text.trim().strip_prefix('[')?.strip_suffix(']')?.trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    let mut rows = Vec::new();
-    let mut rest = body;
-    loop {
-        let rest2 = rest.trim_start().strip_prefix('[')?;
-        let end = rest2.find(']')?;
-        rows.push(parse_flat_array(&format!("[{}]", &rest2[..end]))?);
-        rest = rest2[end + 1..].trim_start();
-        if rest.is_empty() {
-            return Some(rows);
-        }
-        rest = rest.strip_prefix(',')?;
     }
 }
 
@@ -441,10 +362,14 @@ pub fn telemetry_to_jsonl(samples: &[TelemetrySample]) -> String {
     s
 }
 
-/// Parses a telemetry JSONL stream, skipping blank and non-telemetry lines.
-pub fn parse_telemetry_jsonl(text: &str) -> Vec<TelemetrySample> {
-    text.lines()
-        .filter_map(TelemetrySample::parse_line)
+/// Parses a telemetry JSONL stream. Blank lines are skipped; any other line
+/// that is not a telemetry sample is an error naming it.
+pub fn parse_telemetry_jsonl(text: &str) -> Result<Vec<TelemetrySample>, LineError> {
+    jsonl::lines(text)
+        .map(|(no, line)| {
+            TelemetrySample::parse_line(line)
+                .map_err(|e| LineError::record(no, "not a valid telemetry sample", line, e))
+        })
         .collect()
 }
 
@@ -478,30 +403,34 @@ mod tests {
     fn sample_round_trips_through_jsonl() {
         let s = sample(5);
         let line = s.to_jsonl();
-        assert_eq!(TelemetrySample::parse_line(&line), Some(s));
+        assert_eq!(TelemetrySample::parse_line(&line), Ok(s));
         // Empty regions (RLSMP-style) survive too.
         let mut s = sample(6);
         s.regions.clear();
         s.lat_p50 = None;
-        assert_eq!(TelemetrySample::parse_line(&s.to_jsonl()), Some(s));
+        assert_eq!(TelemetrySample::parse_line(&s.to_jsonl()), Ok(s));
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert_eq!(TelemetrySample::parse_line(""), None);
-        assert_eq!(TelemetrySample::parse_line("{\"type\":\"other\"}"), None);
-        assert_eq!(
-            TelemetrySample::parse_line("{\"type\":\"telemetry\"}"),
-            None
-        );
-        // A trace event is not a telemetry sample.
-        assert_eq!(
-            TelemetrySample::parse_line("{\"type\":\"originated\",\"t_us\":0}"),
-            None
-        );
+        for line in [
+            "",
+            "{\"type\":\"other\"}",
+            "{\"type\":\"telemetry\"}",
+            // A trace event is not a telemetry sample.
+            "{\"type\":\"originated\",\"t_us\":0}",
+        ] {
+            assert!(TelemetrySample::parse_line(line).is_err(), "{line:?}");
+        }
         // Truncated mid-array.
         let line = sample(1).to_jsonl();
-        assert_eq!(TelemetrySample::parse_line(&line[..line.len() / 2]), None);
+        assert!(TelemetrySample::parse_line(&line[..line.len() / 2]).is_err());
+        // A drop matrix of the wrong shape names its key.
+        let short = line.replace("[[1,0,2,0,0],", "[");
+        assert!(matches!(
+            TelemetrySample::parse_line(&short),
+            Err(JsonlError::Invalid(key, _)) if key == "drops"
+        ));
     }
 
     #[test]
@@ -509,10 +438,12 @@ mod tests {
         let rows = vec![sample(1), sample(2)];
         let text = telemetry_to_jsonl(&rows);
         assert_eq!(text.lines().count(), 2);
-        assert_eq!(parse_telemetry_jsonl(&text), rows);
-        // Unknown lines are skipped, not fatal, in the lenient stream parser.
-        let mixed = format!("\n{}not json\n{}", rows[0].to_jsonl(), rows[1].to_jsonl());
-        assert_eq!(parse_telemetry_jsonl(&mixed).len(), 2);
+        assert_eq!(parse_telemetry_jsonl(&text), Ok(rows.clone()));
+        // Blank lines are skipped; an unknown line is an error naming it.
+        let blank = format!("\n{}\n\n{}", rows[0].to_jsonl(), rows[1].to_jsonl());
+        assert_eq!(parse_telemetry_jsonl(&blank), Ok(rows.clone()));
+        let mixed = format!("\n{}\nnot json\n{}", rows[0].to_jsonl(), rows[1].to_jsonl());
+        assert_eq!(parse_telemetry_jsonl(&mixed).unwrap_err().line, 3);
     }
 
     #[test]
@@ -673,7 +604,7 @@ mod proptests {
                 barriers: events / 13,
                 regions,
             };
-            prop_assert_eq!(TelemetrySample::parse_line(&s.to_jsonl()), Some(s));
+            prop_assert_eq!(TelemetrySample::parse_line(&s.to_jsonl()), Ok(s));
         }
     }
 }

@@ -25,7 +25,7 @@ use hlsrg_suite::scenario::{
     paper_figures, replicate_averaged, run_simulation, run_simulation_instrumented, Experiment,
     FigureScale, Protocol, RunReport, SimConfig, EXPERIMENTS,
 };
-use hlsrg_suite::trace::{cause_name, registry_from_events, TraceEvent};
+use hlsrg_suite::trace::{cause_name, registry_from_events, LineError, TraceEvent};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -345,9 +345,23 @@ fn cmd_run(flags: &Flags) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Reads and decodes `path`, or prints `error: FILE:LINE: reason` (or why
+/// the file cannot be read) and returns `None`: the command then exits 1.
+fn read_file<T>(path: &str, parse: impl FnOnce(&str) -> Result<T, LineError>) -> Option<T> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| eprintln!("error: cannot read {path}: {e}"))
+        .ok()?;
+    parse(&text)
+        .map_err(|e| {
+            eprintln!("error: {path}:{}: {}", e.line, e.reason);
+            eprintln!("error: {path}: rejected, nothing read from it");
+        })
+        .ok()
+}
+
 fn cmd_inspect(args: &[String]) -> ExitCode {
     let Some((file, rest)) = args.split_first().filter(|(f, _)| !f.starts_with("--")) else {
-        eprintln!("error: inspect needs a trace file (hlsrg inspect FILE)");
+        eprintln!("error: inspect needs a trace file (hlsrg-suite inspect FILE)");
         usage();
         return ExitCode::FAILURE;
     };
@@ -359,49 +373,9 @@ fn cmd_inspect(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Parse line by line so a truncated or corrupt record names its exact
-    // location instead of failing the whole file with an aggregate count.
-    let mut events = Vec::new();
-    let mut lost: u64 = 0;
-    let mut bad: u64 = 0;
-    for (ix, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(ev) = TraceEvent::parse_line(line) {
-            events.push(ev);
-        } else if let Some(n) = hlsrg_suite::trace::parse_truncation_line(line) {
-            lost += n;
-        } else {
-            bad += 1;
-            if bad <= 5 {
-                let snippet: String = line.chars().take(72).collect();
-                let cut = if snippet.len() < line.len() {
-                    "…"
-                } else {
-                    ""
-                };
-                eprintln!(
-                    "error: {file}:{}: not a valid trace record: {snippet:?}{cut}",
-                    ix + 1
-                );
-            }
-        }
-    }
-    if bad > 5 {
-        eprintln!("error: …and {} more invalid lines", bad - 5);
-    }
-    if bad > 0 {
+    let Some((events, lost)) = read_file(file, hlsrg_suite::trace::parse_jsonl) else {
         return ExitCode::FAILURE;
-    }
+    };
     if events.is_empty() {
         eprintln!("error: no trace events in {file}");
         return ExitCode::FAILURE;
@@ -618,14 +592,9 @@ fn cmd_fuzz(flags: &Flags) -> ExitCode {
     use hlsrg_suite::scenario::fuzz::{corpus_of, fuzz_campaign, fuzz_campaign_pooled, replay};
 
     if let Some(path) = flags.get("replay") {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+        let Some(results) = read_file(path, replay) else {
+            return ExitCode::FAILURE;
         };
-        let results = replay(&text);
         if results.is_empty() {
             eprintln!("error: no fuzz cases in {path}");
             return ExitCode::FAILURE;
@@ -721,40 +690,21 @@ fn cmd_report(flags: &Flags) -> ExitCode {
         .unwrap_or_else(|| "HLSRG run report".into());
 
     let telemetry = match flags.get("telemetry") {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let samples = parse_telemetry_jsonl(&text);
-                if samples.is_empty() {
-                    eprintln!("error: no telemetry samples in {path}");
-                    return ExitCode::FAILURE;
-                }
-                samples
-            }
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
+        None => Vec::new(),
+        Some(path) => match read_file(path, parse_telemetry_jsonl) {
+            Some(samples) if !samples.is_empty() => samples,
+            Some(_) => {
+                eprintln!("error: no telemetry samples in {path}");
                 return ExitCode::FAILURE;
             }
+            None => return ExitCode::FAILURE,
         },
-        None => Vec::new(),
     };
-    let bench = match flags.get("bench") {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match parse_trajectory(&text) {
-                Ok(records) => records,
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => Vec::new(),
+    let bench = flags
+        .get("bench")
+        .map(|path| read_file(path, parse_trajectory));
+    let Some(bench) = bench.unwrap_or(Some(Vec::new())) else {
+        return ExitCode::FAILURE;
     };
     let figures = match flags.get("figures").map(String::as_str) {
         None | Some("none") => Vec::new(),

@@ -1,8 +1,10 @@
 //! End-to-end tests for the observability surface of the `hlsrg-suite`
 //! binary: `inspect` diagnostics on damaged traces, flag validation, the
-//! `fuzz` oracle self-test, `run --telemetry-out` determinism, and the
-//! `report` dashboard with its validation of the bench history.
+//! `fuzz` oracle self-test, `run --telemetry-out` determinism, the `report`
+//! dashboard with its validation of the bench history, and the `FILE:LINE`
+//! errors every JSONL reader gives for a malformed line.
 
+use hlsrg_suite::check::FuzzCase;
 use hlsrg_suite::scenario::{
     run_simulation_instrumented, run_simulation_traced, Protocol, SimConfig,
 };
@@ -203,7 +205,7 @@ fn run_telemetry_stream_is_seed_reproducible() {
         std::fs::read_to_string(&b).unwrap(),
     );
     assert_eq!(ta, tb, "same seed must give byte-identical telemetry");
-    let samples = parse_telemetry_jsonl(&ta);
+    let samples = parse_telemetry_jsonl(&ta).expect("telemetry reads back");
     assert!(!samples.is_empty(), "telemetry stream should have samples");
     assert_eq!(samples.last().unwrap().t.as_micros(), 40_000_000);
 }
@@ -288,5 +290,116 @@ fn report_rejects_a_malformed_bench_history() {
     assert!(
         !html_path.exists(),
         "a rejected history must write no report"
+    );
+}
+
+/// Asserts that `args` exits 1 without output and that stderr names
+/// `path:line:` and every string in `wanted`.
+fn assert_rejects_line(args: &[&str], path: &std::path::Path, line: usize, wanted: &[&str]) {
+    let out = run(args);
+    assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+    assert!(
+        out.stdout.is_empty(),
+        "{args:?} must use nothing from the file"
+    );
+    let err = stderr_of(&out);
+    let at = format!("error: {}:{line}: ", path.display());
+    assert!(
+        err.contains(&at),
+        "{args:?}: stderr should start {at:?}, got:\n{err}"
+    );
+    for w in wanted {
+        assert!(
+            err.contains(w),
+            "{args:?}: stderr should name {w:?}, got:\n{err}"
+        );
+    }
+}
+
+#[test]
+fn fuzz_replay_rejects_a_malformed_corpus() {
+    let good = FuzzCase::generate(1, 0).to_jsonl();
+    let cut = &good[..good.len() / 2];
+    let no_seed = good.replacen("\"seed\":", "\"vehicles\":", 1);
+    let without_seed = good
+        .split_once(',')
+        .map(|(_, rest)| format!("{{{rest}"))
+        .unwrap();
+    for (name, bad, wanted) in [
+        ("bad-value", "{\"seed\":\"x\"}".to_string(), "key \"seed\""),
+        ("missing-key", without_seed, "missing key \"seed\""),
+        ("duplicate-key", no_seed, "duplicate key \"vehicles\""),
+        ("truncated", cut.to_string(), "no '}' at the end"),
+    ] {
+        let path = tmp(&format!("corpus-{name}.jsonl"));
+        std::fs::write(&path, format!("# a corpus\n{good}\n{bad}\n")).unwrap();
+        let p = path.to_str().unwrap();
+        assert_rejects_line(
+            &["fuzz", "--replay", p],
+            &path,
+            3,
+            &["not a valid fuzz case", wanted],
+        );
+    }
+}
+
+#[test]
+fn fuzz_replay_of_a_clean_case_passes() {
+    let path = tmp("corpus-clean.jsonl");
+    std::fs::write(&path, FuzzCase::generate(1, 0).to_jsonl()).unwrap();
+    let out = run(&["fuzz", "--replay", path.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("replayed 1 cases, 0 failing"),
+        "got:\n{stdout}"
+    );
+}
+
+#[test]
+fn report_rejects_one_bad_telemetry_line() {
+    let mut cfg = SimConfig::quick_demo(5);
+    cfg.telemetry_interval = Some(hlsrg_suite::des::SimDuration::from_secs(15));
+    let (_, _, samples) = run_simulation_instrumented(&cfg, Protocol::Hlsrg, false);
+    assert!(samples.len() >= 3, "want good lines around the bad one");
+    let text = telemetry_to_jsonl(&samples);
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let depth = format!("\"queue_depth\":{},", samples[1].queue_depth);
+    lines[1] = lines[1].replacen(&depth, "\"queue_depth\":-1,", 1);
+    let path = tmp("bad-telemetry.jsonl");
+    std::fs::write(&path, lines.join("\n")).unwrap();
+    let html = tmp("bad-telemetry.html");
+    let (p, h) = (path.to_str().unwrap(), html.to_str().unwrap());
+    assert_rejects_line(
+        &["report", "--telemetry", p, "--out", h],
+        &path,
+        2,
+        &["not a valid telemetry sample", "key \"queue_depth\""],
+    );
+    assert!(!html.exists(), "a rejected stream must write no report");
+}
+
+#[test]
+fn inspect_rejects_an_out_of_range_node() {
+    let text = demo_trace_jsonl();
+    let (ix, line) = text
+        .lines()
+        .enumerate()
+        .find(|(_, l)| l.contains("\"node\":"))
+        .expect("the demo trace has per-node records");
+    let start = line.find("\"node\":").unwrap() + "\"node\":".len();
+    let len = line[start..].find(',').unwrap();
+    let bad = format!("{}99999999999{}", &line[..start], &line[start + len..]);
+    let text = text.replacen(line, &bad, 1);
+    let path = tmp("node-range.jsonl");
+    std::fs::write(&path, text).unwrap();
+    assert_rejects_line(
+        &["inspect", path.to_str().unwrap()],
+        &path,
+        ix + 1,
+        &[
+            "not a valid trace record",
+            "key \"node\": expected a u32, got 99999999999",
+        ],
     );
 }
