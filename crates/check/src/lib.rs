@@ -99,4 +99,53 @@ mod tests {
         o.check_partition(&p, Some(&shifted));
         assert_eq!(o.violation().unwrap().invariant, "partition-rsu");
     }
+
+    /// A horizon that runs past a watched boundary is reported. The kernel
+    /// is given 1000 m lines while the declared geometry has 500 m lines,
+    /// so its horizons stop short of nothing at x or y = 500 and a vehicle
+    /// crossing there moves quietly; the same kernel given the declared
+    /// geometry stays clean.
+    #[test]
+    fn short_changed_horizons_are_reported() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        use vanet_des::SimTime;
+        use vanet_geo::{Point, TriggerGeometry, TriggerGrid};
+        use vanet_mobility::{LightConfig, MobilityConfig, MobilityModel, TrafficLights};
+        use vanet_roadnet::{generate_grid, GridMapSpec};
+
+        let net = generate_grid(&GridMapSpec::paper(2000.0), &mut SmallRng::seed_from_u64(0));
+        let lights = TrafficLights::new(&net, LightConfig::default());
+        let lines = |cell| TriggerGeometry {
+            grids: vec![TriggerGrid {
+                origin: Point::new(0.0, 0.0),
+                cell,
+            }],
+            zones: None,
+        };
+        let declared = lines(500.0);
+        let mut honest = MobilityModel::new(
+            &net,
+            MobilityConfig::default(),
+            200,
+            &mut SmallRng::seed_from_u64(4),
+        );
+        let mut short = honest.clone();
+        honest.watch(Some(declared.clone()));
+        short.watch(Some(lines(1000.0)));
+        let (mut clean, mut caught) = (Oracle::new(), Oracle::new());
+        let mut now = SimTime::ZERO;
+        for _ in 0..120 {
+            let all = honest.step(&net, &lights, now).to_vec();
+            clean.check_quiet_samples(&declared, &all, honest.flagged(), now);
+            let all = short.step(&net, &lights, now).to_vec();
+            caught.check_quiet_samples(&declared, &all, short.flagged(), now);
+            now += MobilityConfig::default().tick;
+        }
+        assert!(clean.violation().is_none(), "{:?}", clean.violation());
+        let v = caught
+            .violation()
+            .expect("a short-changed horizon goes unreported");
+        assert_eq!(v.invariant, "quiet-soundness", "{v}");
+    }
 }

@@ -23,7 +23,13 @@
 //! * **Trace/counter reconciliation** — when a tracer rode along without ring
 //!   overflow, the metrics registry rebuilt from events must agree with the
 //!   `NetCounters` totals per class and drop cause.
+//! * **Quiet soundness** — every movement sample the mobility kernel left
+//!   out of its flagged set has no turn and the same keys and centre-zone
+//!   memberships of the declared trigger geometry at both ends.
 
+use vanet_des::SimTime;
+use vanet_geo::TriggerGeometry;
+use vanet_mobility::MoveSample;
 use vanet_net::counters::PacketClass;
 use vanet_net::gpsr::MAX_RECOVERY_HOPS;
 use vanet_net::{Emission, GpsrHeader, GpsrMode, NetCounters, NetworkCore, NodeId, Transport};
@@ -92,6 +98,49 @@ impl Oracle {
     pub fn report(&mut self, invariant: &'static str, detail: String) {
         if self.violation.is_none() {
             self.violation = Some(Violation { invariant, detail });
+        }
+    }
+
+    /// Quiet soundness for one tick: `flagged` must be a subsequence of
+    /// `all` (both in id order), and every sample of `all` left out of it
+    /// must have no turn and, under `geometry`, the same grid keys and zone
+    /// membership at `old_pos` as at `new_pos` (the exact predicates the
+    /// protocols evaluate). A quiet sample that fails this is one a protocol
+    /// would have acted on and never saw.
+    pub fn check_quiet_samples(
+        &mut self,
+        geometry: &TriggerGeometry,
+        all: &[MoveSample],
+        flagged: &[MoveSample],
+        now: SimTime,
+    ) {
+        let mut flagged_ids = flagged.iter().map(|s| s.id).peekable();
+        let mut missed = 0usize;
+        let mut first = None;
+        for s in all {
+            if flagged_ids.next_if_eq(&s.id).is_some() {
+                continue;
+            }
+            if s.turn.is_some() || !geometry.same_triggers(s.old_pos, s.new_pos) {
+                missed += 1;
+                first.get_or_insert(s);
+            }
+        }
+        if let Some(id) = flagged_ids.next() {
+            self.report(
+                "quiet-soundness",
+                format!("at {now}: flagged vehicle {} is out of id order", id.0),
+            );
+        }
+        if let Some(s) = first {
+            self.report(
+                "quiet-soundness",
+                format!(
+                    "at {now}: {missed} quiet samples turn or cross a watched boundary; \
+                     first: vehicle {} from ({}, {}) to ({}, {})",
+                    s.id.0, s.old_pos.x, s.old_pos.y, s.new_pos.x, s.new_pos.y
+                ),
+            );
         }
     }
 

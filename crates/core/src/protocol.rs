@@ -16,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::RngExt;
 use std::sync::Arc;
 use vanet_des::{SimDuration, SimTime};
-use vanet_geo::Point;
+use vanet_geo::{Point, TriggerGeometry, ZoneDiscs};
 use vanet_mobility::{MoveSample, VehicleId};
 use vanet_net::{
     deliveries, Effect, GpsrTarget, LocationService, NetworkCore, NodeId, NodeKind, PacketClass,
@@ -838,6 +838,25 @@ impl LocationService for HlsrgProtocol {
             fx.extend(self.send_update(core, s, cells.new.0, now));
         }
         fx
+    }
+
+    /// The L1 grid (the L3 cell follows from the L1 cell) and, when
+    /// departures hand tables off, the L1 centre zones.
+    fn trigger_geometry(&self) -> Option<TriggerGeometry> {
+        let grid = self.partition.l1_grid();
+        let mut geo = TriggerGeometry::default();
+        if self.cfg.collection_mode == crate::config::CollectionMode::OnDeparture {
+            let (nx, ny) = self.partition.l1_dims();
+            geo.zones = Some(ZoneDiscs {
+                grid,
+                nx,
+                ny,
+                centres: self.l1_center_pos.clone(),
+                radius: self.cfg.center_radius,
+            });
+        }
+        geo.add_grid(grid);
+        Some(geo)
     }
 
     fn on_packet(

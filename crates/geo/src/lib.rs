@@ -8,7 +8,9 @@
 //! * [`BBox`] — half-open rectangles that tile the plane (grid cells),
 //! * [`Heading`] / [`Cardinal`] / [`TurnKind`] — direction math for the update rules
 //!   and directional geo-broadcast,
-//! * [`SpatialHash`] — O(1) amortized "who is within radio range" queries.
+//! * [`SpatialHash`] — O(1) amortized "who is within radio range" queries,
+//! * [`TriggerGeometry`] — the grids and centre zones a protocol watches, and
+//!   the *quiet horizon* up to which a vehicle on a lane cannot cross them.
 
 #![warn(missing_docs)]
 
@@ -17,12 +19,14 @@ pub mod heading;
 pub mod point;
 pub mod segment;
 pub mod spatial;
+pub mod trigger;
 
 pub use bbox::BBox;
 pub use heading::{classify_turn, normalize_angle, Cardinal, Heading, TurnKind};
 pub use point::{Point, Vec2};
 pub use segment::Segment;
 pub use spatial::{GridDeltaStats, SpatialHash};
+pub use trigger::{TriggerGeometry, TriggerGrid, ZoneDiscs};
 
 /// `x.floor() as i64`, for every `f64` (NaN → 0, out-of-range values
 /// saturate), without calling `floor`.

@@ -40,7 +40,14 @@ impl Segment {
 
     /// Point at arclength `s` from `a`, clamped to the segment.
     pub fn point_at(&self, s: f64) -> Point {
-        let len = self.length();
+        self.point_at_len(s, self.length())
+    }
+
+    /// [`point_at`](Self::point_at) with the segment's [`length`](Self::length)
+    /// computed once by the caller: the same expression, so the same bits,
+    /// without a square root per call.
+    #[inline]
+    pub fn point_at_len(&self, s: f64, len: f64) -> Point {
         if len < 1e-12 {
             return self.a;
         }
@@ -120,6 +127,32 @@ mod tests {
         assert!(s.heading().is_none());
         assert_eq!(s.point_at(10.0), p);
         assert_eq!(s.project(Point::new(9.0, 9.0)), 0.0);
+    }
+
+    proptest::proptest! {
+        /// A length computed once per segment gives positions bit-identical
+        /// to [`Segment::point_at`] and to the per-call expression it
+        /// replaced, at offsets before, along and past the segment.
+        #[test]
+        fn point_at_len_is_bit_identical_to_point_at(
+            ax in -5000.0f64..5000.0,
+            ay in -5000.0f64..5000.0,
+            bx in -5000.0f64..5000.0,
+            by in -5000.0f64..5000.0,
+            f in -0.2f64..1.2,
+        ) {
+            let s = Segment::new(Point::new(ax, ay), Point::new(bx, by));
+            let len = s.length();
+            let off = f * len;
+            let per_call = {
+                let l = s.a.distance(s.b);
+                if l < 1e-12 { s.a } else { s.a.lerp(s.b, (off / l).clamp(0.0, 1.0)) }
+            };
+            let once = s.point_at_len(off, len);
+            proptest::prop_assert_eq!(once.x.to_bits(), per_call.x.to_bits());
+            proptest::prop_assert_eq!(once.y.to_bits(), per_call.y.to_bits());
+            proptest::prop_assert_eq!(once, s.point_at(off));
+        }
     }
 
     #[test]

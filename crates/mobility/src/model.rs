@@ -16,6 +16,13 @@
 //! table during the (already lane-sorted) leader pass. The advance loop then
 //! streams the flat component arrays in index order with two array lookups per
 //! vehicle instead of per-vehicle road-graph walks and modular light math.
+//!
+//! Quiet horizons: once a consumer declares the grids and centre zones it
+//! acts on ([`MobilityModel::watch`]), each vehicle carries the lane offset
+//! up to which none of them can change ([`TriggerGeometry::horizon`]). The
+//! advance compares the new offset with it, one comparison per vehicle, and
+//! collects the vehicles that turned or passed it into
+//! [`MobilityModel::flagged`]; only those get a new horizon.
 
 use crate::fleet::FleetState;
 use crate::lights::TrafficLights;
@@ -26,7 +33,7 @@ use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use vanet_des::{splitmix64, SimDuration, SimTime};
-use vanet_geo::{classify_turn, Heading, Segment};
+use vanet_geo::{classify_turn, Heading, Segment, TriggerGeometry};
 use vanet_roadnet::{IntersectionId, RoadClass, RoadId, RoadNetwork};
 
 /// Parameters of the mobility model.
@@ -72,6 +79,8 @@ impl Default for MobilityConfig {
 struct LaneCtx {
     /// Oriented segment of the lane (from the `from` endpoint).
     seg: Segment,
+    /// `seg.length()`, the interpolation length of positions on the lane.
+    seg_len: f64,
     /// Road length, meters.
     len: f64,
     /// Intersection ahead.
@@ -122,7 +131,28 @@ pub struct MobilityModel {
     /// neither a lane's context nor a turn pays an `atan2`. Filled on the
     /// first step, not at construction.
     lane_heading: Vec<Heading>,
+    /// Quiet-horizon state while a geometry is watched; `None` flags every
+    /// vehicle. Boxed, so an unwatched model carries one pointer.
+    watch: Option<Box<Watch>>,
 }
+
+/// What [`MobilityModel::watch`] sets up.
+#[derive(Debug, Clone)]
+struct Watch {
+    /// The geometry whose crossings flag a vehicle.
+    geometry: TriggerGeometry,
+    /// Per-vehicle quiet horizon (lane offset), built at the first step.
+    horizon: Vec<f64>,
+    /// The last step's flagged samples, in id order.
+    flagged: Vec<MoveSample>,
+    /// Per-chunk flagged samples of a threaded step, concatenated into
+    /// `flagged` in chunk order.
+    chunk_flagged: Vec<Vec<MoveSample>>,
+}
+
+/// One advance call's share of the [`Watch`]: the geometry, the chunk's
+/// horizons and the buffer its flagged samples go to.
+type WatchChunk<'a> = (&'a TriggerGeometry, &'a mut [f64], &'a mut Vec<MoveSample>);
 
 /// One independent route-choice stream per vehicle, derived from `base` by
 /// running the vehicle index through SplitMix64 (each output seeds a
@@ -167,7 +197,35 @@ impl MobilityModel {
             lane_slot: Vec::new(),
             lane_ctx: Vec::new(),
             lane_heading: Vec::new(),
+            watch: None,
         }
+    }
+
+    /// Sets the geometry that flags vehicles (see [`flagged`](Self::flagged)).
+    /// `None`, the default, flags every vehicle on every step.
+    pub fn watch(&mut self, geometry: Option<TriggerGeometry>) {
+        self.watch = geometry.map(|geometry| {
+            Box::new(Watch {
+                geometry,
+                horizon: Vec::new(),
+                flagged: Vec::new(),
+                chunk_flagged: Vec::new(),
+            })
+        });
+    }
+
+    /// The last step's samples, one per vehicle in id order (what
+    /// [`step`](Self::step) returned).
+    pub fn samples(&self) -> &[MoveSample] {
+        &self.samples
+    }
+
+    /// The last step's *flagged* samples, in id order: every vehicle that
+    /// turned or moved past its quiet horizon, so every sample on which a
+    /// watched grid key or zone membership can differ between `old_pos` and
+    /// `new_pos`. Without a watched geometry, every sample.
+    pub fn flagged(&self) -> &[MoveSample] {
+        self.watch.as_ref().map_or(&self.samples, |w| &w.flagged)
     }
 
     /// The configuration.
@@ -291,6 +349,7 @@ impl MobilityModel {
             let heading = self.lane_heading[l as usize];
             self.lane_ctx.push(LaneCtx {
                 seg,
+                seg_len: seg.length(),
                 len: r.length,
                 end,
                 heading,
@@ -300,11 +359,25 @@ impl MobilityModel {
         }
     }
 
-    /// Pre-fills the sample buffer so the advance phase can write slots by
-    /// index (the parallel path hands disjoint sub-slices to threads).
+    /// Sizes the sample buffer to the fleet once, so the advance phase can
+    /// write slots by index (the parallel path hands disjoint sub-slices to
+    /// threads); every later step overwrites every slot. On the first
+    /// watched step, also gives every vehicle its horizon from where it
+    /// stands (so that step flags only real triggers, not the whole fleet).
     fn seed_samples(&mut self, net: &RoadNetwork) {
-        self.samples.clear();
-        if !self.fleet.is_empty() {
+        let n = self.fleet.len();
+        if let Some(w) = self.watch.as_deref_mut().filter(|w| w.horizon.len() != n) {
+            let Watch {
+                geometry, horizon, ..
+            } = w;
+            *horizon = (0..n)
+                .map(|i| {
+                    let ctx = &self.lane_ctx[self.lane_id[i] as usize];
+                    geometry.horizon(&ctx.seg, ctx.seg_len, self.fleet.offset[i], ctx.len)
+                })
+                .collect();
+        }
+        if self.samples.len() != n && n > 0 {
             let v0 = self.fleet.state(0);
             let pos = v0.position(net);
             let placeholder = MoveSample {
@@ -318,12 +391,13 @@ impl MobilityModel {
                 speed: v0.speed,
                 turn: None,
             };
-            self.samples.resize(self.fleet.len(), placeholder);
+            self.samples.resize(n, placeholder);
         }
     }
 
     /// Advances every vehicle by one tick starting at `now`, returning one sample per
-    /// vehicle (in id order).
+    /// vehicle (in id order). The flagged ones are then in
+    /// [`flagged`](Self::flagged).
     pub fn step(
         &mut self,
         net: &RoadNetwork,
@@ -349,6 +423,9 @@ impl MobilityModel {
             &mut self.plans,
             &mut self.rngs,
             &mut self.samples,
+            self.watch
+                .as_deref_mut()
+                .map(|w| (&w.geometry, w.horizon.as_mut_slice(), &mut w.flagged)),
         );
         &self.samples
     }
@@ -377,6 +454,22 @@ impl MobilityModel {
         self.seed_samples(net);
         let chunk = n.div_ceil(threads);
         let cfg = self.cfg;
+        let (geometry, mut horizon, mut chunk_flagged) = match self.watch.as_deref_mut() {
+            Some(Watch {
+                geometry,
+                horizon,
+                chunk_flagged,
+                ..
+            }) => {
+                chunk_flagged.resize_with(threads, Vec::new);
+                (
+                    Some(&*geometry),
+                    horizon.as_mut_slice(),
+                    chunk_flagged.iter_mut(),
+                )
+            }
+            None => (None, &mut [][..], [].iter_mut()),
+        };
         std::thread::scope(|s| {
             let mut road = self.fleet.road.as_mut_slice();
             let mut from = self.fleet.from.as_mut_slice();
@@ -409,6 +502,12 @@ impl MobilityModel {
                 rngs = rest;
                 let (sm, rest) = std::mem::take(&mut samples).split_at_mut(take);
                 samples = rest;
+                let watch = geometry.map(|g| {
+                    let (hz, rest) = std::mem::take(&mut horizon).split_at_mut(take);
+                    horizon = rest;
+                    let fl = chunk_flagged.next().expect("one flag buffer per chunk");
+                    (g, hz, fl)
+                });
                 let (c, rest) = cap.split_at(take);
                 cap = rest;
                 let (li, rest) = lane_id.split_at(take);
@@ -430,11 +529,18 @@ impl MobilityModel {
                         pl,
                         rg,
                         sm,
+                        watch,
                     );
                 });
                 base += take;
             }
         });
+        if let Some(w) = self.watch.as_deref_mut() {
+            w.flagged.clear();
+            for fl in &w.chunk_flagged[..n.div_ceil(chunk)] {
+                w.flagged.extend_from_slice(fl);
+            }
+        }
         &self.samples
     }
 }
@@ -460,7 +566,8 @@ fn lane_ends(net: &RoadNetwork, l: u32) -> (RoadId, IntersectionId, Intersection
 /// memoized light checks, and route choice, each vehicle touching only its own
 /// slots (state, plan, RNG, sample). Chunk boundaries cannot affect the
 /// outcome. `base` is the chunk's first global vehicle index (== id, ids being
-/// dense).
+/// dense). With a `watch`, a vehicle that turned or passed its horizon gets
+/// a new one and its sample goes into the watch's flagged buffer.
 #[allow(clippy::too_many_arguments)]
 fn advance_chunk(
     cfg: &MobilityConfig,
@@ -478,15 +585,19 @@ fn advance_chunk(
     plans: &mut [TripPlan],
     rngs: &mut [SmallRng],
     samples: &mut [MoveSample],
+    mut watch: Option<WatchChunk<'_>>,
 ) {
     let dt = cfg.tick.as_secs_f64();
+    if let Some((_, _, flagged)) = &mut watch {
+        flagged.clear();
+    }
     for i in 0..road.len() {
         let ctx = &lane_ctx[lane_id[i] as usize];
         let old_road = road[i];
         let old_from = from[i];
         let old_offset = offset[i];
         let rng = &mut rngs[i];
-        let old_pos = ctx.seg.point_at(old_offset);
+        let old_pos = ctx.seg.point_at_len(old_offset, ctx.seg_len);
         let mut turn: Option<TurnEvent> = None;
 
         let target_speed = (speed[i] + cfg.accel * dt).min(desired[i]);
@@ -498,6 +609,8 @@ fn advance_chunk(
 
         let len = ctx.len;
         let (new_road, new_from, new_offset, new_pos, out_class, out_heading);
+        // The lane driven after the move: segment, its length, road length.
+        let lane: (Segment, f64, f64);
         if old_offset + advance >= len && ctx.green {
             // Cross the intersection: pick the next road, carry leftover motion.
             let at = ctx.end;
@@ -534,7 +647,9 @@ fn advance_chunk(
             new_from = at;
             // Clamp so a single tick never skips the whole next road.
             new_offset = leftover.min(next_road.length - 1e-6);
-            new_pos = net.segment_from(next, at).point_at(new_offset);
+            let seg = net.segment_from(next, at);
+            lane = (seg, seg.length(), next_road.length);
+            new_pos = seg.point_at_len(new_offset, lane.1);
             out_class = next_road.class;
             out_heading = leave;
         } else {
@@ -542,7 +657,8 @@ fn advance_chunk(
             new_road = old_road;
             new_from = old_from;
             new_offset = (old_offset + advance).min(len);
-            new_pos = ctx.seg.point_at(new_offset);
+            new_pos = ctx.seg.point_at_len(new_offset, ctx.seg_len);
+            lane = (ctx.seg, ctx.seg_len, len);
             out_class = ctx.class;
             out_heading = ctx.heading;
         }
@@ -570,6 +686,12 @@ fn advance_chunk(
             speed: new_speed,
             turn,
         };
+        if let Some((geo, horizon, flagged)) = &mut watch {
+            if turn.is_some() || new_offset > horizon[i] {
+                horizon[i] = geo.horizon(&lane.0, lane.1, new_offset, lane.2);
+                flagged.push(samples[i]);
+            }
+        }
     }
 }
 
@@ -899,6 +1021,78 @@ mod tests {
                 "vehicle states diverged with {threads} threads"
             );
         }
+    }
+
+    /// Watching changes no sample, flags exactly the vehicles that turned or
+    /// left their horizon (so every sample whose watched keys or zone
+    /// membership differ), in id order, and flags the same vehicles at any
+    /// thread count.
+    #[test]
+    fn watched_steps_flag_every_trigger_and_match_at_any_thread_count() {
+        use vanet_geo::{TriggerGrid, ZoneDiscs};
+        let (net, lights, plain, _) = setup(300, 12);
+        let bb = net.bbox();
+        let grid = TriggerGrid {
+            origin: Point::new(bb.min_x, bb.min_y),
+            cell: 500.0,
+        };
+        let geo = TriggerGeometry {
+            grids: vec![TriggerGrid {
+                origin: Point::new(bb.min_x, bb.min_y),
+                cell: 250.0,
+            }],
+            zones: Some(ZoneDiscs {
+                grid,
+                nx: 2,
+                ny: 2,
+                centres: vec![
+                    Point::new(250.0, 250.0),
+                    Point::new(750.0, 250.0),
+                    Point::new(250.0, 750.0),
+                    Point::new(750.0, 750.0),
+                ],
+                radius: 250.0,
+            }),
+        };
+        let mut reference = plain.clone();
+        let mut serial = plain.clone();
+        let mut threaded = plain;
+        serial.watch(Some(geo.clone()));
+        threaded.watch(Some(geo.clone()));
+        let dt = serial.config().tick;
+        let (mut now, mut flagged, mut total) = (SimTime::ZERO, 0usize, 0usize);
+        for tick in 0..400 {
+            let all = reference.step(&net, &lights, now).to_vec();
+            assert_eq!(serial.step(&net, &lights, now), &all[..], "tick {tick}");
+            assert_eq!(
+                threaded.step_par(&net, &lights, now, 3),
+                &all[..],
+                "tick {tick}"
+            );
+            assert_eq!(serial.flagged(), threaded.flagged(), "tick {tick}");
+            assert_eq!(
+                reference.flagged(),
+                &all[..],
+                "unwatched flags every sample"
+            );
+            let mut ids = serial.flagged().iter().map(|s| s.id.0 as usize).peekable();
+            for s in &all {
+                if ids.next_if_eq(&(s.id.0 as usize)).is_none() {
+                    assert!(s.turn.is_none(), "tick {tick}: quiet turn {s:?}");
+                    assert!(
+                        geo.same_triggers(s.old_pos, s.new_pos),
+                        "tick {tick}: quiet sample changes triggers {s:?}"
+                    );
+                }
+            }
+            assert!(ids.next().is_none(), "flags out of id order at tick {tick}");
+            flagged += serial.flagged().len();
+            total += all.len();
+            now += dt;
+        }
+        // Horizons start where each vehicle stands, so even the first step
+        // flags only the few that turn or near a boundary.
+        assert!(flagged < total / 10, "{flagged} of {total} samples flagged");
     }
 
     /// The lane-heading table holds, bit for bit, the heading

@@ -10,6 +10,7 @@ use crate::core::{Emission, NetworkCore};
 use crate::counters::PacketClass;
 use serde::{Deserialize, Serialize};
 use vanet_des::{Histogram, SimDuration, SimTime, Welford};
+use vanet_geo::TriggerGeometry;
 use vanet_mobility::{MoveSample, VehicleId};
 
 /// Something a protocol wants the harness to schedule.
@@ -65,12 +66,29 @@ pub trait LocationService {
 
     /// Consumes one mobility tick's movement samples (positions in the registry are
     /// already updated by the harness before this call).
+    ///
+    /// The harness may pass only the tick's *flagged* samples, in id order:
+    /// those whose vehicle turned or may have crossed a boundary that
+    /// [`Self::trigger_geometry`] declares. Every sample left out is one the
+    /// declaration promises this method would ignore.
     fn on_move(
         &mut self,
         core: &mut NetworkCore,
         samples: &[MoveSample],
         now: SimTime,
     ) -> Vec<Effect<Self::Payload, Self::Timer>>;
+
+    /// The trigger geometry of [`Self::on_move`]: the grids and centre zones
+    /// whose keys and memberships it acts on, besides turns. The declaration
+    /// promises that a sample without a turn whose keys and memberships in
+    /// it are the same at `old_pos` and `new_pos` produces no effect and no
+    /// state change, so the harness may leave such samples out.
+    ///
+    /// The default, `None`, declares nothing: the harness passes every
+    /// sample.
+    fn trigger_geometry(&self) -> Option<TriggerGeometry> {
+        None
+    }
 
     /// Handles a packet that reached its (current) final hop at `at`.
     fn on_packet(

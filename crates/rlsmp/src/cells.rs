@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use vanet_geo::{floor_i64, BBox, Point};
+use vanet_geo::{BBox, Point, TriggerGrid};
 
 /// A cell id (dense, row-major from the south-west).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -90,11 +90,20 @@ impl CellGrid {
         self.cell_size
     }
 
+    /// The grid's lines, whose (clamped) keys are the cells.
+    pub fn trigger_grid(&self) -> TriggerGrid {
+        TriggerGrid {
+            origin: self.origin,
+            cell: self.cell_size,
+        }
+    }
+
     /// Cell containing `p` (outside points clamp to the border cells).
     #[inline]
     pub fn cell_of(&self, p: Point) -> CellId {
-        let ix = floor_i64((p.x - self.origin.x) / self.cell_size).clamp(0, self.nx as i64 - 1);
-        let iy = floor_i64((p.y - self.origin.y) / self.cell_size).clamp(0, self.ny as i64 - 1);
+        let (ix, iy) = self.trigger_grid().key(p);
+        let ix = ix.clamp(0, self.nx as i64 - 1);
+        let iy = iy.clamp(0, self.ny as i64 - 1);
         CellId(iy as u32 * self.nx + ix as u32)
     }
 

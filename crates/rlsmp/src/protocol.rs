@@ -17,7 +17,7 @@ use fxhash::FxHashMap;
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use vanet_des::{SimDuration, SimTime};
-use vanet_geo::Point;
+use vanet_geo::{Point, TriggerGeometry};
 use vanet_mobility::{MoveSample, VehicleId};
 use vanet_net::{
     deliveries, Effect, GpsrTarget, LocationService, NetworkCore, NodeId, NodeKind, PacketClass,
@@ -529,6 +529,14 @@ impl LocationService for RlsmpProtocol {
             fx.extend(self.send_update(core, s.id, s.new_pos, now));
         }
         fx
+    }
+
+    /// The cell grid: an update goes out on a cell crossing and nothing else.
+    fn trigger_geometry(&self) -> Option<TriggerGeometry> {
+        Some(TriggerGeometry {
+            grids: vec![self.grid.trigger_grid()],
+            zones: None,
+        })
     }
 
     fn on_packet(

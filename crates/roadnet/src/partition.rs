@@ -15,7 +15,7 @@
 use crate::graph::{IntersectionId, RoadNetwork};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use vanet_geo::{floor_i64, BBox, Cardinal, Point};
+use vanet_geo::{BBox, Cardinal, Point, TriggerGrid};
 
 /// A level-1 grid id (dense index, row-major from the south-west).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -211,6 +211,15 @@ impl Partition {
         self.l1_size
     }
 
+    /// The L1 grid's lines, whose (clamped) keys are the L1 cells; every
+    /// coarser level's cell follows from the L1 cell.
+    pub fn l1_grid(&self) -> TriggerGrid {
+        TriggerGrid {
+            origin: self.origin,
+            cell: self.l1_size,
+        }
+    }
+
     /// `(columns, rows)` of L1 cells.
     pub fn l1_dims(&self) -> (u32, u32) {
         (self.nx1, self.ny1)
@@ -242,19 +251,15 @@ impl Partition {
         self.l3_centers.len()
     }
 
-    #[inline]
-    fn clamp_ix(&self, v: f64, n: u32, min: f64, size: f64) -> u32 {
-        floor_i64((v - min) / size).clamp(0, n as i64 - 1) as u32
-    }
-
-    /// L1 column and row containing `p`, clamped to the map. Every level's
-    /// cell follows from these two: an L2 column is `ix / 2`, an L3 column
-    /// `ix / 4`.
+    /// L1 column and row containing `p`: its [`l1_grid`](Self::l1_grid)
+    /// key, clamped to the map. Every level's cell follows from these two:
+    /// an L2 column is `ix / 2`, an L3 column `ix / 4`.
     #[inline]
     fn l1_ix(&self, p: Point) -> (u32, u32) {
+        let (ix, iy) = self.l1_grid().key(p);
         (
-            self.clamp_ix(p.x, self.nx1, self.origin.x, self.l1_size),
-            self.clamp_ix(p.y, self.ny1, self.origin.y, self.l1_size),
+            ix.clamp(0, self.nx1 as i64 - 1) as u32,
+            iy.clamp(0, self.ny1 as i64 - 1) as u32,
         )
     }
 

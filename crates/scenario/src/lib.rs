@@ -43,5 +43,5 @@ pub use replicate::{replicate, replicate_averaged, replicate_batch, replicate_wi
 pub use report::{render_report, ReportInputs};
 pub use runner::{
     run_simulation, run_simulation_checked, run_simulation_instrumented, run_simulation_traced,
-    CheckSetup, Violation,
+    run_simulation_wrapped, AsBuilt, CheckSetup, Violation, WrapService,
 };

@@ -15,8 +15,10 @@ use rand::RngExt;
 use rlsmp::RlsmpProtocol;
 use std::sync::Arc;
 use vanet_des::{stream_rng, EpochExecutor, SimDuration, SimTime, StreamId};
+use vanet_geo::TriggerGeometry;
 use vanet_mobility::{
-    LightConfig, MapMatcher, MobilityModel, Ns2Trace, TraceReplay, TrafficLights, VehicleId,
+    LightConfig, MapMatcher, MobilityModel, MoveSample, Ns2Trace, TraceReplay, TrafficLights,
+    VehicleId,
 };
 use vanet_net::{
     conservative_lookahead, Effect, LocationService, NetworkCore, NodeId, NodeRegistry, Transport,
@@ -99,23 +101,37 @@ enum MobilitySource {
 }
 
 impl MobilitySource {
-    fn snapshot(&mut self, net: &RoadNetwork) -> Vec<vanet_mobility::MoveSample> {
+    fn snapshot(&mut self, net: &RoadNetwork) -> Vec<MoveSample> {
         match self {
             MobilitySource::Model(m) => m.snapshot(net),
             MobilitySource::Replay(r) => r.snapshot(net),
         }
     }
 
+    /// Quiet horizons for the native model; a replay flags every sample.
+    fn watch(&mut self, geometry: Option<TriggerGeometry>) {
+        if let MobilitySource::Model(m) = self {
+            m.watch(geometry);
+        }
+    }
+
+    /// One tick: every sample, and the flagged ones among them.
     fn step(
         &mut self,
         net: &RoadNetwork,
         lights: &TrafficLights,
         now: SimTime,
         threads: usize,
-    ) -> &[vanet_mobility::MoveSample] {
+    ) -> (&[MoveSample], &[MoveSample]) {
         match self {
-            MobilitySource::Model(m) => m.step_par(net, lights, now, threads),
-            MobilitySource::Replay(r) => r.step(net, now),
+            MobilitySource::Model(m) => {
+                m.step_par(net, lights, now, threads);
+                (m.samples(), m.flagged())
+            }
+            MobilitySource::Replay(r) => {
+                let all = r.step(net, now);
+                (all, all)
+            }
         }
     }
 
@@ -141,14 +157,14 @@ impl MobilitySource {
 
 /// Runs one simulation of `cfg` under the chosen protocol.
 pub fn run_simulation(cfg: &SimConfig, protocol: Protocol) -> RunReport {
-    run_simulation_full(cfg, protocol, None, None).0
+    run_simulation_full::<AsBuilt>(cfg, protocol, None, None).0
 }
 
 /// Runs one simulation with a structured event trace attached, returning the
 /// report plus the tracer holding the event ring and derived metrics registry.
 pub fn run_simulation_traced(cfg: &SimConfig, protocol: Protocol) -> (RunReport, Tracer) {
     let tracer = Box::new(Tracer::new(DEFAULT_RING_CAPACITY));
-    let (report, tracer, _) = run_simulation_full(cfg, protocol, Some(tracer), None);
+    let (report, tracer, _) = run_simulation_full::<AsBuilt>(cfg, protocol, Some(tracer), None);
     (
         report,
         *tracer.expect("tracer installed before the run survives it"),
@@ -165,8 +181,37 @@ pub fn run_simulation_instrumented(
     protocol: Protocol,
     with_trace: bool,
 ) -> (RunReport, Option<Tracer>, Vec<TelemetrySample>) {
+    run_simulation_wrapped::<AsBuilt>(cfg, protocol, with_trace)
+}
+
+/// Turns the location service a run builds into the one it drives: the seam
+/// through which a test runs a protocol behind a wrapper of its own.
+pub trait WrapService {
+    /// The service the run drives.
+    type Wrapped<L: LocationService>: LocationService;
+    /// Wraps the service `protocol` built.
+    fn wrap<L: LocationService>(service: L) -> Self::Wrapped<L>;
+}
+
+/// Drives the protocol's service as built.
+pub enum AsBuilt {}
+
+impl WrapService for AsBuilt {
+    type Wrapped<L: LocationService> = L;
+    fn wrap<L: LocationService>(service: L) -> L {
+        service
+    }
+}
+
+/// [`run_simulation_instrumented`] with the protocol's service passed
+/// through `W` first.
+pub fn run_simulation_wrapped<W: WrapService>(
+    cfg: &SimConfig,
+    protocol: Protocol,
+    with_trace: bool,
+) -> (RunReport, Option<Tracer>, Vec<TelemetrySample>) {
     let tracer = with_trace.then(|| Box::new(Tracer::new(DEFAULT_RING_CAPACITY)));
-    let (report, tracer, samples) = run_simulation_full(cfg, protocol, tracer, None);
+    let (report, tracer, samples) = run_simulation_full::<W>(cfg, protocol, tracer, None);
     (report, tracer.map(|t| *t), samples)
 }
 
@@ -181,11 +226,12 @@ pub fn run_simulation_checked(
 ) -> (RunReport, Option<Violation>) {
     let tracer = setup.trace_ring.map(|cap| Box::new(Tracer::new(cap)));
     let mut violation = None;
-    let (report, _, _) = run_simulation_full(cfg, protocol, tracer, Some((setup, &mut violation)));
+    let (report, _, _) =
+        run_simulation_full::<AsBuilt>(cfg, protocol, tracer, Some((setup, &mut violation)));
     (report, violation)
 }
 
-fn run_simulation_full(
+fn run_simulation_full<W: WrapService>(
     cfg: &SimConfig,
     protocol: Protocol,
     tracer: Option<Box<Tracer>>,
@@ -296,6 +342,7 @@ fn run_simulation_full(
             );
             proto.reserve_vehicles(cfg.vehicles);
             let deadline = cfg.hlsrg.query_deadline;
+            let proto = W::wrap(proto);
             drive(
                 cfg, protocol, net, &partition, lights, model, core, proto, deadline, check,
             )
@@ -308,6 +355,7 @@ fn run_simulation_full(
             );
             proto.reserve_vehicles(cfg.vehicles);
             let deadline = cfg.rlsmp.query_deadline;
+            let proto = W::wrap(proto);
             drive(
                 cfg, protocol, net, &partition, lights, model, core, proto, deadline, check,
             )
@@ -403,6 +451,16 @@ fn drive<L: LocationService>(
         }
     };
     let mut query_rng = stream_rng(cfg.seed, StreamId::Queries);
+    // Quiet horizons: the protocol's trigger geometry plus the L1 grid the
+    // region tally below reads (the L3 region follows from the L1 cell).
+    // Only flagged samples can change either; a protocol that declares
+    // nothing gets every sample.
+    let watch = proto.trigger_geometry().map(|mut g| {
+        g.add_grid(partition.l1_grid());
+        g
+    });
+    let quiet_check = check.as_ref().and_then(|_| watch.clone());
+    model.watch(watch);
 
     // Mobility ticks across the whole run.
     let tick = cfg.mobility.tick;
@@ -479,13 +537,14 @@ fn drive<L: LocationService>(
         core.set_trace_now(now);
         match ev {
             Ev::Tick => {
-                let samples = model.step(&net, &lights, now, threads);
+                let (samples, flagged) = model.step(&net, &lights, now, threads);
                 // One batched pass over the delta stream: only vehicles that
                 // crossed a grid cell touch spatial-index buckets (identical
                 // mutation order to the old per-sample set_pos loop).
                 core.registry
                     .apply_vehicle_moves(samples.iter().map(|s| (s.id, s.new_pos)));
-                for s in samples {
+                // A quiet sample kept its L1 cell, hence its region.
+                for s in flagged {
                     let r = partition.l3_of(s.new_pos).0;
                     let slot = &mut region_of[s.id.0 as usize];
                     if *slot != r {
@@ -493,13 +552,16 @@ fn drive<L: LocationService>(
                         shard_migrations += 1;
                     }
                 }
-                let fx = proto.on_move(&mut core, samples, now);
+                let fx = proto.on_move(&mut core, flagged, now);
                 note_fx(&mut check, &fx);
                 apply(&mut queue, fx, &core.registry, &shard_of, 0);
-                // Per-tick protocol audit: location-table soundness against the
-                // registry's ground truth (plus the deliberate-corruption
-                // self-test when armed).
+                // Per-tick protocol audit: every sample left out was quiet,
+                // and location-table soundness against the registry's ground
+                // truth (plus the deliberate-corruption self-test when armed).
                 if let Some(cs) = check.as_mut() {
+                    if let Some(geo) = &quiet_check {
+                        cs.oracle.check_quiet_samples(geo, samples, flagged, now);
+                    }
                     if let Some(at) = cs.setup.corrupt_at {
                         if !cs.corrupted && now >= at {
                             cs.corrupted = true;
